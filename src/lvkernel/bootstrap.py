@@ -32,7 +32,7 @@ __all__ = [
     "bootstrap_error_table",
 ]
 
-_CHUNK_ROWS = 256
+_CHUNK_ROWS = 64
 _MASS_TOL = 1e-4
 
 
