@@ -55,7 +55,6 @@ from .pricing import (
     curve_greeks,
     greeks,
     price_butterfly_closed,
-    price_call_cev_closed,
     price_call_closed,
     price_curve,
     price_put,
@@ -111,7 +110,6 @@ __all__ = [
     "model_from_json",
     "norm_cdf",
     "price_butterfly_closed",
-    "price_call_cev_closed",
     "price_call_closed",
     "price_curve",
     "price_put",

@@ -11,7 +11,7 @@ are pure functions and vectorize over numpy arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, isfinite, sqrt
 from typing import Union
 
 import numpy as np
@@ -91,7 +91,7 @@ def _coefficients(jet: CoefficientJet, t: float, xi: ArrayLike, order: int) -> l
     pref = 1.0 / np.sqrt(2.0 * np.pi * t * a2)
     if order == 0:
         return [pref]
-    sqrt_t = np.sqrt(t)
+    sqrt_t = sqrt(t)
     ta3 = t * a2 * a
     # the order-1 bracket of g1_general, by powers of d
     shift = ap * xi * sqrt_t
@@ -120,13 +120,13 @@ def _kernel(jet: CoefficientJet, t: float, x: ArrayLike, y: ArrayLike, z: ArrayL
     The polynomial is summed at d = 0 on those dead entries, so one that would
     overflow there cannot leave 0*inf = nan behind.
     """
-    if not np.isfinite(t) or t <= 0.0:
+    if not isfinite(t) or t <= 0.0:
         raise DomainError(f"time must be positive and finite, got {t}")
-    c = _coefficients(jet, t, (np.asarray(x) - np.asarray(z)) / np.sqrt(t), order)
+    c = _coefficients(jet, t, (np.asarray(x) - np.asarray(z)) / sqrt(t), order)
     d = np.subtract(x, y, dtype=float)
     neg_q = np.multiply(d * d, -0.5 / (t * jet.a * jet.a))
     alive = neg_q >= -EXP_ARG_MAX
-    shape = np.broadcast_shapes(neg_q.shape, *(np.shape(ck) for ck in c))
+    shape = np.broadcast(neg_q, *c).shape
     out = np.exp(neg_q, out=np.zeros(shape), where=alive)
     poly = c[0]
     if len(c) > 1:

@@ -12,6 +12,7 @@ reference solver.
 from __future__ import annotations
 
 import json
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
@@ -37,6 +38,8 @@ __all__ = [
 
 ArrayLike = Union[float, np.ndarray]
 
+_JET_FIELDS = ("a", "da_dx", "d2a_dx2", "da_dt", "b", "db_dx", "c")
+
 
 @dataclass(frozen=True)
 class CoefficientJet:
@@ -55,11 +58,12 @@ class CoefficientJet:
     c: ArrayLike
 
     def validate(self) -> "CoefficientJet":
-        for name in ("a", "da_dx", "d2a_dx2", "da_dt", "b", "db_dx", "c"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(v)):
+        for name in _JET_FIELDS:
+            v = getattr(self, name)
+            if not (math.isfinite(v) if isinstance(v, (float, int)) else np.isfinite(v).all()):
                 raise DegenerateCoefficient(f"jet field {name} is not finite")
-        if np.any(np.asarray(self.a, dtype=float) <= 0.0):
+        a = self.a
+        if not (a > 0.0 if isinstance(a, (float, int)) else (np.asarray(a) > 0.0).all()):
             raise DegenerateCoefficient("diffusion coefficient a must be positive")
         return self
 
@@ -82,7 +86,7 @@ class BasepointRule(Enum):
 
 def basepoint(rule: BasepointRule, x: ArrayLike, y: ArrayLike) -> ArrayLike:
     """Basepoint z(x, y) for the given rule.  Every rule satisfies z(x,x)=x."""
-    if np.any(np.asarray(x) <= 0.0) or np.any(np.asarray(y) <= 0.0):
+    if (np.asarray(x) <= 0.0).any() or (np.asarray(y) <= 0.0).any():
         raise DomainError("basepoint requires x > 0 and y > 0")
     if rule is BasepointRule.AT_X:
         return x
@@ -94,10 +98,15 @@ def basepoint(rule: BasepointRule, x: ArrayLike, y: ArrayLike) -> ArrayLike:
 
 
 def _check_z(z: ArrayLike) -> ArrayLike:
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= 0.0) or not np.all(np.isfinite(z)):
-        raise DomainError("basepoint z must be positive and finite")
-    return z if z.ndim else float(z)
+    if isinstance(z, (float, int)):
+        z = float(z)
+        if 0.0 < z < math.inf:
+            return z
+    else:
+        z = np.asarray(z, dtype=float)
+        if ((z > 0.0) & (z < np.inf)).all():
+            return z if z.ndim else float(z)
+    raise DomainError("basepoint z must be positive and finite")
 
 
 class Model(ABC):

@@ -7,9 +7,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.sparse import diags
-from scipy.sparse.linalg import splu
 
 from .errors import DomainError, SingularMatrix
 from .grid import PriceCurve, SpatialGrid
@@ -44,8 +41,9 @@ def norm_pdf(x: ArrayLike) -> ArrayLike:
     return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
 
 
-def _bs_d1_d2(t: float, K: float, x: ArrayLike, sigma: float, r: float):
-    if t <= 0.0 or K <= 0.0 or sigma <= 0.0:
+def _bs_d1_d2(t: float, K: float, x: ArrayLike, sigma: ArrayLike, r: float):
+    bad_sigma = (sigma <= 0.0).any() if isinstance(sigma, np.ndarray) else sigma <= 0.0
+    if t <= 0.0 or K <= 0.0 or bad_sigma:
         raise DomainError("bs_exact needs t > 0, K > 0, sigma > 0")
     xa = np.asarray(x, dtype=float)
     if np.any(xa <= 0.0):
@@ -123,11 +121,7 @@ def hagan_woodward_vol(t: float, K: float, s0: ArrayLike, sigma: float, beta: fl
 def hagan_woodward_price(t: float, K: float, s0: ArrayLike, sigma: float, beta: float,
                          r: float = 0.0) -> ArrayLike:
     """CEV call price: Black-Scholes evaluated at the Hagan-Woodward volatility."""
-    vol = hagan_woodward_vol(t, K, s0, sigma, beta, r)
-    s0a = np.asarray(s0, dtype=float)
-    if isinstance(s0, np.ndarray):
-        return np.array([bs_exact(t, K, float(s), float(v), r) for s, v in zip(s0a, np.asarray(vol))])
-    return bs_exact(t, K, float(s0), float(vol), r)
+    return bs_exact(t, K, s0, hagan_woodward_vol(t, K, s0, sigma, beta, r), r)
 
 
 @dataclass(frozen=True)
@@ -172,6 +166,12 @@ def cn_solve(model: Model, config: CNConfig, payoff: Payoff) -> PriceCurve:
     Upper boundary: zero second derivative, folded into the last interior row
     so the system stays tridiagonal.
     """
+    # imported here, not at module level: they add about 0.1 s to every import
+    # of the package, and nothing else needs them
+    from scipy.linalg import solve_banded
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import splu
+
     xs = config.grid.nodes
     dx = config.grid.dx
     n = xs.size

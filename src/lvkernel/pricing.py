@@ -3,6 +3,7 @@ general basepoints and payoffs, puts via parity, finite-difference Greeks."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -13,7 +14,7 @@ from scipy.special import erf
 from .errors import DomainError, GridTooCoarseWarning
 from .grid import PriceCurve, SpatialGrid, simpson_weights
 from .kernel import KernelSpec, kernel_eval
-from .models import BasepointRule, Model
+from .models import BasepointRule, CoefficientJet, Model
 
 __all__ = [
     "Payoff",
@@ -22,7 +23,6 @@ __all__ = [
     "ButterflyPayoff",
     "SampledPayoff",
     "price_call_closed",
-    "price_call_cev_closed",
     "price_put",
     "price_butterfly_closed",
     "price_quadrature",
@@ -33,7 +33,7 @@ __all__ = [
 
 ArrayLike = Union[float, np.ndarray]
 
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class Payoff:
@@ -118,15 +118,62 @@ class SampledPayoff(Payoff):
         return np.interp(yq, self.y, self.values)
 
 
-def _check_order(order: int) -> int:
+def _check_quote(order: int, t: float, K: float) -> None:
     if order not in (1, 2):
         raise DomainError(f"price order must be 1 or 2, got {order}")
-    return order
+    if not math.isfinite(t) or t <= 0.0:
+        raise DomainError(f"time must be positive and finite, got {t}")
+    if not math.isfinite(K) or K <= 0.0:
+        raise DomainError("strike must be positive")
 
 
-def _as_input_kind(value: ArrayLike, scalar: bool) -> ArrayLike:
-    """Return a float for scalar inputs (np.where promotes scalars to 0-d arrays)."""
-    return float(value) if scalar else value
+def _spot(x: ArrayLike) -> ArrayLike:
+    return np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
+
+
+def _as_input_kind(value: ArrayLike, x: ArrayLike) -> ArrayLike:
+    """A Python float for a scalar spot x, else the array as it is."""
+    return value if isinstance(x, np.ndarray) else float(value)
+
+
+def _calls(order: int, jet: CoefficientJet, t: float, strikes, x: ArrayLike) -> list:
+    """The closed-form calls of price_call_closed at each strike, from the
+    jet at z = x.  The order-2 moments p2, p4, p6 depend on the jet alone and
+    are computed once; the rest stays in expressions, so long vectors do not
+    hold more temporaries than one call needs."""
+    a, ap, b, c = jet.a, jet.da_dx, jet.b, jet.c
+    a2 = a * a
+    s2 = a2 * t
+    if order == 2:
+        p2, p4, p6 = _moments(jet)
+    calls = []
+    for K in strikes:
+        m = x - K
+        q = m * m / (2.0 * s2)
+        expq = np.exp(-q) * (q <= 745.0)        # exactly 0 past exp's underflow
+        E = 0.5 * (erf(m / (math.sqrt(2.0 * t) * a)) + 1.0)
+        u = math.sqrt(t) / (2.0 * _SQRT_2PI) * expq * (2.0 * a - ap * m) + E * (b * t + m)
+        if order == 2:
+            g = expq / np.sqrt(2.0 * math.pi * s2)  # Gaussian density at the strike
+            F = m * E + s2 * g                      # int G0(x,y) (y-K)+ dy
+            m2 = m * m
+            u = u + (t * c * F + g * (
+                t * t * p2
+                + t * p4 * (m2 - s2) / (a2 * a2)
+                + p6 * (m2 * m2 - 6.0 * m2 * s2 + 3.0 * s2 * s2) / (a2 * a2 * a2 * a2)))
+        calls.append(u)
+    return calls
+
+
+def _moments(jet: CoefficientJet) -> tuple:
+    """p2, p4, p6: the jet's coefficients of the order-2 moment integrals."""
+    a, ap, app, adot, b, bp = jet.a, jet.da_dx, jet.d2a_dx2, jet.da_dt, jet.b, jet.db_dx
+    a2 = a * a
+    a3 = a2 * a
+    ap2 = ap * ap
+    p2 = 0.5 * (0.5 * a3 * app + a2 * bp + a2 * ap2 / 2.0 + b * b + a * (b * ap + adot))
+    p4 = (a2 / 3.0) * (0.5 * a3 * app + 2.0 * a2 * ap2 + 1.5 * a * ap * b)
+    return p2, p4, a3 * a3 * ap2 / 8.0
 
 
 def price_call_closed(order: int, model: Model, t: float, K: float, x: ArrayLike) -> ArrayLike:
@@ -138,70 +185,9 @@ def price_call_closed(order: int, model: Model, t: float, K: float, x: ArrayLike
     Order 2 adds the moment integrals of the second-order kernel correction,
     expressed through the jet (equivalent to the risk-neutral closed form).
     """
-    _check_order(order)
-    if not np.isfinite(t) or t <= 0.0:
-        raise DomainError(f"time must be positive and finite, got {t}")
-    if not np.isfinite(K) or K <= 0.0:
-        raise DomainError("strike must be positive")
-    scalar = not isinstance(x, np.ndarray)
-    x = np.asarray(x, dtype=float) if not scalar else float(x)
-    jet = model.jet(x)
-    a, ap = jet.a, jet.da_dx
-    m = x - K
-    s2 = a * a * t
-    q = m * m / (2.0 * s2)
-    alive = q <= 745.0
-    expq = np.where(alive, np.exp(-np.minimum(q, 745.0)), 0.0)
-    E = 0.5 * (erf(m / (np.sqrt(2.0 * t) * a)) + 1.0)
-    u1 = np.sqrt(t) / (2.0 * _SQRT_2PI) * expq * (2.0 * a - ap * m) + E * (jet.b * t + m)
-    if order == 1:
-        return _as_input_kind(u1, scalar)
-
-    app, adot, b, bp, c = jet.d2a_dx2, jet.da_dt, jet.b, jet.db_dx, jet.c
-    g = expq / np.sqrt(2.0 * np.pi * s2)        # Gaussian density at the strike
-    F = m * E + s2 * g                          # int G0(x,y) (y-K)+ dy
-    a2 = a * a
-    a3 = a2 * a
-    ap2 = ap * ap
-    p2 = 0.5 * (0.5 * a3 * app + a2 * bp + a2 * ap2 / 2.0 + b * b + a * (b * ap + adot))
-    p4 = (a2 / 3.0) * (0.5 * a3 * app + 2.0 * a2 * ap2 + 1.5 * a * ap * b)
-    p6 = a3 * a3 * ap2 / 8.0
-    m2 = m * m
-    corr = (
-        t * c * F
-        + g * (t * t * p2
-               + t * p4 * (m2 - s2) / (a2 * a2)
-               + p6 * (m2 * m2 - 6.0 * m2 * s2 + 3.0 * s2 * s2) / (a2 * a2 * a2 * a2))
-    )
-    return _as_input_kind(u1 + corr, scalar)
-
-
-def price_call_cev_closed(t: float, K: float, x: ArrayLike, sigma: float, alpha: float,
-                          r: float = 0.0) -> ArrayLike:
-    """First-order closed-form CEV call price at basepoint z = x.
-
-    sigma*x^(alpha-1)*sqrt(t)/(2 sqrt(2 pi)) * exp(-m^2/(2 sigma^2 t x^(2 alpha)))
-        * ((2-alpha) x + alpha K)
-    + 1/2 (erf(m/(sqrt(2t) sigma x^alpha)) + 1) * ((1 + r t) x - K).
-    """
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if sigma <= 0.0:
-        raise DomainError("sigma must be positive")
-    if t <= 0.0 or K <= 0.0:
-        raise DomainError("t and K must be positive")
-    scalar = not isinstance(x, np.ndarray)
-    x = np.asarray(x, dtype=float) if not scalar else float(x)
-    if np.any(np.asarray(x) <= 0.0):
-        raise DomainError("spot must be positive")
-    m = x - K
-    ax = sigma * x**alpha
-    q = m * m / (2.0 * t * ax * ax)
-    expq = np.where(q <= 745.0, np.exp(-np.minimum(q, 745.0)), 0.0)
-    gauss = sigma * x ** (alpha - 1.0) * np.sqrt(t) / (2.0 * _SQRT_2PI) * expq \
-        * ((2.0 - alpha) * x + alpha * K)
-    tail = 0.5 * (erf(m / (np.sqrt(2.0 * t) * ax)) + 1.0) * ((1.0 + r * t) * x - K)
-    return _as_input_kind(gauss + tail, scalar)
+    _check_quote(order, t, K)
+    xs = _spot(x)
+    return _as_input_kind(_calls(order, model.jet(xs), t, (K,), xs)[0], x)
 
 
 def price_put(order: int, model: Model, t: float, K: float, x: ArrayLike) -> ArrayLike:
@@ -211,26 +197,24 @@ def price_put(order: int, model: Model, t: float, K: float, x: ArrayLike) -> Arr
     only extra full-line moment is c t (x-K) (the higher Hermite terms have
     vanishing first moments).
     """
-    _check_order(order)
-    scalar = not isinstance(x, np.ndarray)
-    call = price_call_closed(order, model, t, K, x)
-    jet = model.jet(x if not scalar else float(x))
-    m = (np.asarray(x, dtype=float) if not scalar else float(x)) - K
+    _check_quote(order, t, K)
+    xs = _spot(x)
+    jet = model.jet(xs)
+    m = xs - K
     forward = m + jet.b * t
     if order == 2:
         forward = forward + jet.c * t * m
-    return _as_input_kind(call - forward, scalar)
+    return _as_input_kind(_calls(order, jet, t, (K,), xs)[0] - forward, x)
 
 
 def price_butterfly_closed(order: int, model: Model, t: float, payoff: ButterflyPayoff,
                            x: ArrayLike) -> ArrayLike:
     """Closed-form butterfly price as a linear combination of three calls."""
+    _check_quote(order, t, payoff.k1)
+    xs = _spot(x)
     w1, w2, w3 = payoff.call_weights
-    return (
-        w1 * price_call_closed(order, model, t, payoff.k1, x)
-        - w2 * price_call_closed(order, model, t, payoff.k, x)
-        + w3 * price_call_closed(order, model, t, payoff.k2, x)
-    )
+    c1, c2, c3 = _calls(order, model.jet(xs), t, (payoff.k1, payoff.k, payoff.k2), xs)
+    return _as_input_kind(w1 * c1 - w2 * c2 + w3 * c3, x)
 
 
 def price_quadrature(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike,

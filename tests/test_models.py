@@ -20,6 +20,7 @@ from lvkernel import (
     model_from_file,
     model_from_json,
 )
+from lvkernel.models import _check_z
 
 
 class TestJetValues:
@@ -177,6 +178,64 @@ class TestValidation:
         model = BSMModel(sigma=0.3)
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.sigma = 0.4
+
+
+JET_FIELDS = ("a", "da_dx", "d2a_dx2", "da_dt", "b", "db_dx", "c")
+
+
+def _jet_with(name, value, size=None):
+    """A valid jet (a = 1, the rest 0) with one entry of one field replaced;
+    with size, every field is an array of that length and entry 17 is replaced."""
+    fields = {f: (1.0 if f == "a" else 0.0) for f in JET_FIELDS}
+    if size is not None:
+        fields = {f: np.full(size, v) for f, v in fields.items()}
+        fields[name][17] = value
+    else:
+        fields[name] = value
+    return CoefficientJet(**fields)
+
+
+class TestJetChecks:
+    @pytest.mark.parametrize("name", JET_FIELDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("size", [None, 64], ids=["scalar", "array64"])
+    def test_nonfinite_field_is_named(self, name, bad, size):
+        with pytest.raises(DegenerateCoefficient, match=f"jet field {name} is not finite"):
+            _jet_with(name, bad, size).validate()
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-300, -2.0])
+    @pytest.mark.parametrize("size", [None, 64], ids=["scalar", "array64"])
+    def test_nonpositive_a_rejected(self, bad, size):
+        with pytest.raises(DegenerateCoefficient, match="diffusion coefficient a must be positive"):
+            _jet_with("a", bad, size).validate()
+
+    @pytest.mark.parametrize("size", [None, 64], ids=["scalar", "array64"])
+    def test_valid_jet_passes(self, size):
+        jet = _jet_with("a", 2.0, size)
+        assert jet.validate() is jet
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -3.0])
+    def test_check_z_rejects_scalar(self, bad):
+        with pytest.raises(DomainError, match="basepoint z must be positive and finite"):
+            _check_z(bad)
+        with pytest.raises(DomainError):
+            CEVModel(sigma=0.3, alpha=0.5).jet(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -3.0])
+    def test_check_z_rejects_one_array_entry(self, bad):
+        z = np.linspace(1.0, 40.0, 64)
+        z[41] = bad
+        with pytest.raises(DomainError, match="basepoint z must be positive and finite"):
+            _check_z(z)
+        with pytest.raises(DomainError):
+            BSMModel(sigma=0.3).jet(z)
+
+    def test_check_z_keeps_the_input_kind(self):
+        assert type(_check_z(3)) is float
+        assert type(_check_z(np.float64(3.0))) is float
+        assert type(_check_z(np.array(3.0))) is float
+        z = _check_z(np.array([1, 2, 3]))
+        assert z.dtype == float and z.shape == (3,)
 
 
 class TestCustomModel:

@@ -1,6 +1,10 @@
 """Reference pricers: exact lognormal formulas, the Hagan-Woodward equivalent
 volatility, and the Crank-Nicolson finite-difference solver."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -23,6 +27,7 @@ from lvkernel import (
     hagan_woodward_vol,
     norm_cdf,
 )
+import lvkernel
 from lvkernel.oracles import norm_pdf
 
 
@@ -164,6 +169,16 @@ class TestHaganWoodward:
                 rel=1e-14,
             )
 
+    def test_array_equals_per_spot_bs_exact(self):
+        # the scalar loop the vectorized price replaced, kept as its reference;
+        # the volatilities come from one array call, since NumPy's vector pow
+        # can differ from the scalar one in the last bit
+        s0 = np.linspace(12.0, 18.0, 200)
+        for t in (0.05, 0.3):
+            vol = hagan_woodward_vol(t, 15.0, s0, 0.3, 2.0 / 3.0, 0.1)
+            loop = [bs_exact(t, 15.0, float(s), float(v), 0.1) for s, v in zip(s0, vol)]
+            assert np.array_equal(hagan_woodward_price(t, 15.0, s0, 0.3, 2.0 / 3.0, 0.1), loop)
+
     def test_agrees_with_pde_solver_near_strike(self):
         sigma, alpha, r, t, K = 0.3, 2.0 / 3.0, 0.1, 0.3, 15.0
         grid = SpatialGrid.regular(30.0, 0.1)
@@ -266,3 +281,16 @@ class TestCrankNicolson:
         frozen = cn_solve(BSMModel(sigma=0.3, r=0.1),
                           CNConfig(grid, dt=1e-3, t_total=0.1), CallPayoff(15.0))
         assert curve.value_at(15.0) > frozen.value_at(15.0)
+
+
+def test_import_leaves_sparse_and_linalg_unloaded():
+    # cn_solve imports them when it runs; importing the package must not
+    code = ("import sys, lvkernel; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'sparse'], ['scipy', 'linalg'])))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lvkernel.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

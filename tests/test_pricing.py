@@ -19,11 +19,11 @@ from lvkernel import (
     PutPayoff,
     SampledPayoff,
     SpatialGrid,
+    TimeDependentBSMModel,
     bs_delta,
     curve_greeks,
     greeks,
     price_butterfly_closed,
-    price_call_cev_closed,
     price_call_closed,
     price_curve,
     price_put,
@@ -138,34 +138,15 @@ class TestPowerLawClosedForm:
     def test_unit_exponent_reduces_to_lognormal(self):
         t, K, sigma, r = 0.1, 15.0, 0.3, 0.1
         xs = np.array([10.0, 14.0, 15.0, 16.0, 25.0])
-        got = price_call_cev_closed(t, K, xs, sigma, 1.0, r)
+        got = price_call_closed(1, CEVModel(sigma=sigma, alpha=1.0, r=r), t, K, xs)
         want = price_call_closed(1, BSMModel(sigma=sigma, r=r), t, K, xs)
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
     def test_at_the_money_driftless_value(self):
         t, K, sigma, alpha = 0.1, 15.0, 0.3, 2.0 / 3.0
         want = sigma * K**alpha * np.sqrt(t / (2.0 * np.pi))
-        assert price_call_cev_closed(t, K, K, sigma, alpha) == pytest.approx(
-            want, rel=1e-14
-        )
-
-    def test_matches_general_closed_form(self):
-        t, K, sigma, alpha, r = 0.1, 15.0, 0.3, 2.0 / 3.0, 0.1
-        model = CEVModel(sigma=sigma, alpha=alpha, r=r)
-        xs = np.array([12.0, 15.0, 18.0])
-        np.testing.assert_allclose(
-            price_call_cev_closed(t, K, xs, sigma, alpha, r),
-            price_call_closed(1, model, t, K, xs),
-            rtol=1e-13,
-        )
-
-    def test_parameter_validation(self):
-        with pytest.raises(DomainError):
-            price_call_cev_closed(0.1, 15.0, 15.0, 0.3, 1.5)
-        with pytest.raises(DomainError):
-            price_call_cev_closed(0.1, 15.0, 15.0, -0.3, 0.5)
-        with pytest.raises(DomainError):
-            price_call_cev_closed(0.1, 15.0, -1.0, 0.3, 0.5)
+        got = price_call_closed(1, CEVModel(sigma=sigma, alpha=alpha), t, K, K)
+        assert got == pytest.approx(want, rel=1e-14)
 
 
 class TestPutParity:
@@ -235,6 +216,61 @@ class TestButterflyPricing:
         quad = price_quadrature(spec, t, payoff, x, grid, check=False)
         closed = price_butterfly_closed(2, model, t, payoff, x)
         assert closed == pytest.approx(quad, abs=1e-5)
+
+
+CLOSED_FORM_MODELS = [
+    BSMModel(sigma=0.3, r=0.1),
+    CEVModel(sigma=0.3, alpha=2.0 / 3.0, r=0.1),
+    TimeDependentBSMModel(sigma=0.3, sigma_dot0=0.2, r=0.1),
+]
+
+
+class TestClosedFormIdentities:
+    """Put and butterfly are exactly their parity and call combinations,
+    whatever the shared jet and strike loop inside them."""
+
+    SPOTS = [16.25, np.linspace(8.0, 30.0, 67)]
+
+    @pytest.mark.parametrize("model", CLOSED_FORM_MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("x", SPOTS, ids=["scalar", "array"])
+    def test_put_is_call_minus_forward(self, model, order, x):
+        t, K = 0.2, 17.5
+        call = price_call_closed(order, model, t, K, x)
+        jet = model.jet(x)
+        m = x - K
+        forward = m + jet.b * t
+        if order == 2:
+            forward = forward + jet.c * t * m
+        assert np.array_equal(price_put(order, model, t, K, x), call - forward)
+
+    @pytest.mark.parametrize("model", CLOSED_FORM_MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("x", SPOTS, ids=["scalar", "array"])
+    def test_butterfly_is_weighted_calls(self, model, order, x):
+        t, payoff = 0.2, ButterflyPayoff(15.0, 18.0, 25.0)
+        w1, w2, w3 = payoff.call_weights
+        want = (w1 * price_call_closed(order, model, t, 15.0, x)
+                - w2 * price_call_closed(order, model, t, 18.0, x)
+                + w3 * price_call_closed(order, model, t, 25.0, x))
+        assert np.array_equal(price_butterfly_closed(order, model, t, payoff, x), want)
+
+    @pytest.mark.parametrize("model", CLOSED_FORM_MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_scalar_spot_gives_python_float(self, model, order):
+        payoff = ButterflyPayoff(15.0, 18.0, 25.0)
+        for value in (price_call_closed(order, model, 0.2, 17.5, 16.25),
+                      price_put(order, model, 0.2, 17.5, 16.25),
+                      price_butterfly_closed(order, model, 0.2, payoff, 16.25)):
+            assert type(value) is float
+
+    def test_gaussian_factor_is_zero_past_underflow(self):
+        # x far from K at a tiny t: exp(-m^2/(2 a^2 t)) underflows, and the
+        # price is exactly its intrinsic part
+        model = BSMModel(sigma=0.3, r=0.0)
+        for order in (1, 2):
+            assert price_call_closed(order, model, 1e-6, 15.0, 30.0) == 15.0
+            assert price_call_closed(order, model, 1e-6, 15.0, 3.0) == 0.0
 
 
 class TestQuadrature:
