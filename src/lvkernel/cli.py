@@ -63,7 +63,6 @@ class RunConfig:
     model: dict
     params: dict = field(default_factory=dict)
     out: Optional[str] = None
-    seed: Optional[int] = None
 
     def to_json(self) -> str:
         payload = {
@@ -71,7 +70,6 @@ class RunConfig:
             "model": self.model,
             "params": self.params,
             "out": self.out,
-            "seed": self.seed,
         }
         return json.dumps(payload, sort_keys=True)
 
@@ -88,7 +86,6 @@ class RunConfig:
             model=payload.get("model") or {},
             params=payload.get("params") or {},
             out=payload.get("out"),
-            seed=payload.get("seed"),
         )
 
 
@@ -109,8 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
         g.add_argument("--model-file", help="path to a model JSON file")
         g.add_argument("--model", help="inline model JSON object")
         p.add_argument("--out", help="artifact path (.csv or .json); default stdout")
-        p.add_argument("--seed", type=int,
-                       help="reserved; the engine is deterministic")
 
     p = sub.add_parser("price", help="option prices, single spot or curve")
     common(p)
@@ -177,19 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARAM_KEYS = {
-    "price": ["order", "t", "payoff", "strike", "k1", "k2", "spot", "grid",
-              "basepoint", "method"],
-    "kernel": ["order", "t", "x", "grid", "basepoint"],
-    "greeks": ["order", "t", "payoff", "strike", "k1", "k2", "spot", "grid",
-               "dx", "basepoint", "method"],
-    "bootstrap": ["order", "t", "steps", "xmax", "dx", "payoff", "strike",
-                  "k1", "k2", "basepoint", "compare_oracle"],
-    "compare": ["oracle", "method", "grid", "times", "strike", "steps",
-                "basepoint"],
-}
-
-
 def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
     if ns.model_file is not None:
         with open(ns.model_file, "r", encoding="utf-8") as fh:
@@ -202,9 +184,10 @@ def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
         raise UsageError(f"bad model JSON: {exc}") from exc
     if not isinstance(model_obj, dict):
         raise UsageError("model JSON must be an object")
-    params = {k: getattr(ns, k) for k in _PARAM_KEYS[ns.command]}
-    return RunConfig(command=ns.command, model=model_obj, params=params,
-                     out=ns.out, seed=ns.seed)
+    # a subcommand's namespace is the shared flags plus its own params
+    params = {k: v for k, v in vars(ns).items()
+              if k not in ("command", "model", "model_file", "out")}
+    return RunConfig(command=ns.command, model=model_obj, params=params, out=ns.out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,18 @@
 """Short-time approximate transition kernels of orders 0, 1, and 2.
 
-Every kernel, at every order and basepoint rule z(x, y), is one form:
-G_0(d) * sum_{k <= 6} C_k d^k with d = x - y, G_0 the Gaussian of the jet
-frozen at z, and C_k from the jet, t and x - z (degree 0, 3, 6 for orders
-0, 1, 2).  Evaluation costs one exp per entry and a Horner sum; at z = x an
-(x, y) block with x as a column has one set of C_k per row.  All operations
-are pure functions and vectorize over numpy arrays.
+Every kernel, at every order and basepoint rule z(x, y), is one Hermite
+series G_0(d) * sum_{k <= 3n} h_k He_k(d/s), d = x - y, s = a sqrt(t), G_0 the
+Gaussian of the jet frozen at z; _hermite_coefficients is the one copy of the
+h_k.  Evaluation sums the series in powers of d (one exp per entry and a
+Horner sum; at z = x one set of powers per row of an (x, y) block), and the
+closed-form prices in pricing are its Gaussian moments.  All operations are
+pure functions and vectorize over numpy arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, isfinite, sqrt
+from math import factorial, isfinite, pi, sqrt
 from typing import Union
 
 import numpy as np
@@ -28,10 +29,11 @@ ArrayLike = Union[float, np.ndarray]
 # exactly zero there rather than subnormal noise
 EXP_ARG_MAX = 745.0
 
-# H_k(Theta) = sum_j _HERMITE[k][j] * Theta**(k - 2j) / a**(2j): (-1)**k times
-# the probabilists' Hermite polynomial He_k, rescaled by a
-_HERMITE = tuple(tuple((-1) ** (k + j) * factorial(k) // (factorial(j) * factorial(k - 2 * j) * 2**j)
+# the probabilists' Hermite polynomials He_k(u) = sum_j _HERMITE[k][j] * u**(k - 2j)
+_HERMITE = tuple(tuple((-1) ** j * factorial(k) // (factorial(j) * factorial(k - 2 * j) * 2**j)
                        for j in range(k // 2 + 1)) for k in range(7))
+# their lower terms (m, k, coefficient of u**m in He_k), m < k, by increasing k
+_HE_LOWER = tuple((k - 2 * j, k, c) for k, r in enumerate(_HERMITE) for j, c in enumerate(r) if j)
 
 
 @dataclass(frozen=True)
@@ -56,60 +58,81 @@ def hermite(theta: ArrayLike, a: ArrayLike) -> tuple:
         raise DomainError("hermite scale a must be positive")
     th = np.asarray(theta, dtype=float)
     ia2 = 1.0 / np.asarray(a, dtype=float) ** 2
-    return tuple(sum(h * th ** (k - 2 * j) * ia2**j for j, h in enumerate(row))
+    return tuple(sum((-1) ** k * h * th ** (k - 2 * j) * ia2**j for j, h in enumerate(row))
                  for k, row in enumerate(_HERMITE))
 
 
-def _p_polynomials(jet: CoefficientJet, xi: ArrayLike):
+def _p_polynomials(jet: CoefficientJet, xi):
     """Coefficient polynomials P_0..P_6 of the order-2 correction.
 
-    xi is the rescaled basepoint offset (x - z)/sqrt(t); P_1, P_3, P_5 and the
-    xi-dependent parts of P_2, P_4 vanish at z = x.
+    xi is the rescaled basepoint offset (x - z)/sqrt(t), or None at z = x,
+    where P_1, P_3, P_5 and the xi-dependent parts of P_2, P_4 vanish and are
+    not computed.
     """
     a, ap, app, adot = jet.a, jet.da_dx, jet.d2a_dx2, jet.da_dt
     b, bp, c = jet.b, jet.db_dx, jet.c
-    xi2 = xi * xi
     ap2 = ap * ap
     a2 = a * a
     a3 = a2 * a
-    p0 = c
-    p1 = bp * xi
-    p2 = 0.5 * (0.5 * a3 * app + a2 * bp + a2 * ap2 / 2.0 + b * b + ap2 * xi2
-                + a * (b * ap + adot + app * xi2))
-    p3 = a * xi * (ap * b + 0.5 * a2 * app + 1.5 * a * ap2)
-    p4 = (a2 / 3.0) * (0.5 * a3 * app + 2.0 * a2 * ap2 + 1.5 * a * ap * b + 1.5 * ap2 * xi2)
-    p5 = 0.5 * a2 * a2 * ap2 * xi
+    p2 = 0.5 * (0.5 * a3 * app + a2 * bp + a2 * ap2 / 2.0 + b * b + a * (b * ap + adot))
+    p4 = (a2 / 3.0) * (0.5 * a3 * app + 2.0 * a2 * ap2 + 1.5 * a * ap * b)
     p6 = a3 * a3 * ap2 / 8.0
-    return p0, p1, p2, p3, p4, p5, p6
+    if xi is None:
+        return c, 0.0, p2, 0.0, p4, 0.0, p6
+    xi2 = xi * xi
+    p1 = bp * xi
+    p2 = p2 + 0.5 * xi2 * (ap2 + a * app)
+    p3 = a * xi * (ap * b + 0.5 * a2 * app + 1.5 * a * ap2)
+    p4 = p4 + 0.5 * a2 * ap2 * xi2
+    p5 = 0.5 * a2 * a2 * ap2 * xi
+    return c, p1, p2, p3, p4, p5, p6
 
 
-def _coefficients(jet: CoefficientJet, t: float, xi: ArrayLike, order: int) -> list:
-    """C_0..C_{3 order} of the order-n kernel G_0(d) sum_k C_k d^k, with the
-    Gaussian's prefactor (2 pi t a^2)^(-1/2) folded in; xi = (x - z)/sqrt(t)."""
-    a, ap = jet.a, jet.da_dx
-    a2 = a * a
-    pref = 1.0 / np.sqrt(2.0 * np.pi * t * a2)
+def _hermite_coefficients(jet: CoefficientJet, t: float, x: ArrayLike, z: ArrayLike,
+                          order: int) -> list:
+    """h_0..h_{3 order} of the order-n kernel G_0(d) sum_k h_k He_k(d/s) at z.
+
+    Order 1 is 1, -b sqrt(t)/a, a' xi sqrt(t)/a, -a' sqrt(t)/2, xi = (x - z)/sqrt(t);
+    order 2 adds t P_k(xi) (-1/a)^k to h_k, as H_k(Theta) = (-1/a)^k He_k(d/s).
+    The rule z = x passes x itself as z; then xi = 0 and its terms are skipped.
+    """
     if order == 0:
-        return [pref]
+        return [1.0]
+    a, ap = jet.a, jet.da_dx
     sqrt_t = sqrt(t)
-    ta3 = t * a2 * a
-    # the order-1 bracket of g1_general, by powers of d
-    shift = ap * xi * sqrt_t
-    c = [pref * ck for ck in (1.0 - shift / a, (3.0 * a * ap - 2.0 * jet.b) / (2.0 * a2),
-                              shift / ta3, -ap / (2.0 * ta3))]
+    xi = None if z is x else (np.asarray(x) - np.asarray(z)) / sqrt_t
+    h = [1.0, jet.b * -sqrt_t / a, 0.0 if xi is None else ap * xi * sqrt_t / a, -0.5 * sqrt_t * ap]
     if order == 2:
-        # t (P_0 + sum_k P_k H_k(Theta)), Theta = s d, collected by powers of d
-        series = [0.0] * 7
-        ia = 1.0 / a2
-        ia2j = [1.0, ia, ia * ia, ia * ia * ia]  # a^(-2j)
-        for k, pk in enumerate(_p_polynomials(jet, xi)):
-            for j, h in enumerate(_HERMITE[k]):
-                series[k - 2 * j] = series[k - 2 * j] + (h * ia2j[j]) * pk
-        c += [0.0, 0.0, 0.0]
-        scale, s = t * pref, ia / sqrt_t  # t s^m pref, with Theta = s d
-        for m in range(7):
-            c[m] = c[m] + scale * series[m]
-            scale = scale * s
+        p = _p_polynomials(jet, xi)
+        f, step, ks = t, -1.0 / a, range(7)  # f = t (-1/a)^k
+        if xi is None:
+            step, ks = step * step, range(0, 7, 2)
+        h += [0.0, 0.0, 0.0]
+        for k in ks:
+            h[k] = h[k] + f * p[k]
+            f = f * step
+    return h
+
+
+def _he_to_power(h) -> list:
+    """e_0..e_n with sum_k h_k He_k(u) = sum_m e_m u^m."""
+    e = list(h)  # every He_k is monic
+    for m, k, coef in _HE_LOWER:
+        if k >= len(h):
+            break
+        e[m] = e[m] + coef * h[k]
+    return e
+
+
+def _coefficients(jet: CoefficientJet, t: float, x: ArrayLike, z: ArrayLike, order: int) -> list:
+    """C_0..C_{3 order} of the order-n kernel G_0(d) sum_m C_m d^m, with the
+    Gaussian's prefactor folded in: C_m = e_m s^-m / (s sqrt(2 pi)) for the
+    powers e_m of the Hermite series."""
+    s = jet.a * sqrt(t)
+    c, scale = [], 1.0 / (s * sqrt(2.0 * pi))
+    for em in _he_to_power(_hermite_coefficients(jet, t, x, z, order)):
+        c.append(scale * em)
+        scale = scale / s
     return c
 
 
@@ -122,7 +145,7 @@ def _kernel(jet: CoefficientJet, t: float, x: ArrayLike, y: ArrayLike, z: ArrayL
     """
     if not isfinite(t) or t <= 0.0:
         raise DomainError(f"time must be positive and finite, got {t}")
-    c = _coefficients(jet, t, (np.asarray(x) - np.asarray(z)) / sqrt(t), order)
+    c = _coefficients(jet, t, x, z, order)
     d = np.subtract(x, y, dtype=float)
     neg_q = np.multiply(d * d, -0.5 / (t * jet.a * jet.a))
     alive = neg_q >= -EXP_ARG_MAX

@@ -1,5 +1,6 @@
-"""Option valuation: closed forms at basepoint z=x, quadrature pricing for
-general basepoints and payoffs, puts via parity, finite-difference Greeks."""
+"""Option valuation: closed forms at basepoint z=x (Gaussian moments of the
+kernel's Hermite series), quadrature pricing for general basepoints and
+payoffs, puts via parity, finite-difference Greeks."""
 
 from __future__ import annotations
 
@@ -9,11 +10,11 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import ndtr
 
 from .errors import DomainError, GridTooCoarseWarning
 from .grid import PriceCurve, SpatialGrid, simpson_weights
-from .kernel import KernelSpec, kernel_eval
+from .kernel import KernelSpec, _he_to_power, _hermite_coefficients, kernel_eval
 from .models import BasepointRule, CoefficientJet, Model
 
 __all__ = [
@@ -136,54 +137,50 @@ def _as_input_kind(value: ArrayLike, x: ArrayLike) -> ArrayLike:
     return value if isinstance(x, np.ndarray) else float(value)
 
 
-def _calls(order: int, jet: CoefficientJet, t: float, strikes, x: ArrayLike) -> list:
-    """The closed-form calls of price_call_closed at each strike, from the
-    jet at z = x.  The order-2 moments p2, p4, p6 depend on the jet alone and
-    are computed once; the rest stays in expressions, so long vectors do not
-    hold more temporaries than one call needs."""
-    a, ap, b, c = jet.a, jet.da_dx, jet.b, jet.c
-    a2 = a * a
-    s2 = a2 * t
+def _forward(order: int, jet: CoefficientJet, t: float, m: ArrayLike) -> ArrayLike:
+    """The kernel's full-line moment int K(x, y) (y - K) dy = h_0 m - h_1 s at
+    z = x: m + b t, plus c t m at order 2."""
+    forward = m + jet.b * t
     if order == 2:
-        p2, p4, p6 = _moments(jet)
+        forward = forward + jet.c * t * m
+    return forward
+
+
+def _calls(order: int, jet: CoefficientJet, t: float, strikes, x: ArrayLike) -> list:
+    """The calls of price_call_closed at each strike, from the jet at z = x.
+    The bracket's powers of mu depend on the jet alone and are computed once."""
+    h = _hermite_coefficients(jet, t, x, x, order)
+    # h_0 + sum_{k>=2} h_k He_{k-2}(mu) by powers of mu
+    bracket = _he_to_power([h[0] + h[2]] + h[3:])
+    s = jet.a * math.sqrt(t)
+    s2 = s * s
     calls = []
     for K in strikes:
+        # the Gaussian factor comes before mu: in long runs of 10k-spot quotes
+        # the other order made glibc trim and re-fault the heap on every call
         m = x - K
         q = m * m / (2.0 * s2)
-        expq = np.exp(-q) * (q <= 745.0)        # exactly 0 past exp's underflow
-        E = 0.5 * (erf(m / (math.sqrt(2.0 * t) * a)) + 1.0)
-        u = math.sqrt(t) / (2.0 * _SQRT_2PI) * expq * (2.0 * a - ap * m) + E * (b * t + m)
-        if order == 2:
-            g = expq / np.sqrt(2.0 * math.pi * s2)  # Gaussian density at the strike
-            F = m * E + s2 * g                      # int G0(x,y) (y-K)+ dy
-            m2 = m * m
-            u = u + (t * c * F + g * (
-                t * t * p2
-                + t * p4 * (m2 - s2) / (a2 * a2)
-                + p6 * (m2 * m2 - 6.0 * m2 * s2 + 3.0 * s2 * s2) / (a2 * a2 * a2 * a2)))
-        calls.append(u)
+        expq = np.exp(-q) * (q <= 745.0)  # exactly 0 past exp's underflow
+        mu = m / s
+        E = ndtr(mu)
+        poly = bracket[-1]
+        for e in reversed(bracket[:-1]):
+            poly = poly * mu + e
+        calls.append(E * _forward(order, jet, t, m) + s / _SQRT_2PI * expq * poly)
     return calls
-
-
-def _moments(jet: CoefficientJet) -> tuple:
-    """p2, p4, p6: the jet's coefficients of the order-2 moment integrals."""
-    a, ap, app, adot, b, bp = jet.a, jet.da_dx, jet.d2a_dx2, jet.da_dt, jet.b, jet.db_dx
-    a2 = a * a
-    a3 = a2 * a
-    ap2 = ap * ap
-    p2 = 0.5 * (0.5 * a3 * app + a2 * bp + a2 * ap2 / 2.0 + b * b + a * (b * ap + adot))
-    p4 = (a2 / 3.0) * (0.5 * a3 * app + 2.0 * a2 * ap2 + 1.5 * a * ap * b)
-    return p2, p4, a3 * a3 * ap2 / 8.0
 
 
 def price_call_closed(order: int, model: Model, t: float, K: float, x: ArrayLike) -> ArrayLike:
     """Closed-form call price of order 1 or 2 at basepoint z = x.
 
-    Order 1:
-        sqrt(t)/(2 sqrt(2 pi)) * exp(-m^2/(2 a^2 t)) * (2a - a' m)
-        + 1/2 (erf(m/(sqrt(2t) a)) + 1) * (b t + m),           m = x - K.
-    Order 2 adds the moment integrals of the second-order kernel correction,
-    expressed through the jet (equivalent to the risk-neutral closed form).
+    The price is the Gaussian moment int K(x, y) (y - K)+ dy of the kernel
+    K = G_0(d) sum_k h_k He_k(d/s), s = a sqrt(t), d = x - y.  With m = x - K
+    and mu = m/s it is
+
+        Phi(mu) (h_0 m - h_1 s) + s phi(mu) (h_0 + sum_{k>=2} h_k He_{k-2}(mu)),
+
+    because int_{u<mu} phi(u) He_k(u) (m - s u) du = s phi(mu) He_{k-2}(mu)
+    for k >= 2; h_0 m - h_1 s = m + b t (+ c t m at order 2) is the forward.
     """
     _check_quote(order, t, K)
     xs = _spot(x)
@@ -191,20 +188,12 @@ def price_call_closed(order: int, model: Model, t: float, K: float, x: ArrayLike
 
 
 def price_put(order: int, model: Model, t: float, K: float, x: ArrayLike) -> ArrayLike:
-    """Put price via parity: put = call - forward.
-
-    The order-1 forward is int G1(x,y)(y-K) dy = (x-K) + b t; at order 2 the
-    only extra full-line moment is c t (x-K) (the higher Hermite terms have
-    vanishing first moments).
-    """
+    """Put price via parity: put = call - forward, the forward being the
+    kernel's full-line moment m + b t (+ c t m at order 2), m = x - K."""
     _check_quote(order, t, K)
     xs = _spot(x)
     jet = model.jet(xs)
-    m = xs - K
-    forward = m + jet.b * t
-    if order == 2:
-        forward = forward + jet.c * t * m
-    return _as_input_kind(_calls(order, jet, t, (K,), xs)[0] - forward, x)
+    return _as_input_kind(_calls(order, jet, t, (K,), xs)[0] - _forward(order, jet, t, xs - K), x)
 
 
 def price_butterfly_closed(order: int, model: Model, t: float, payoff: ButterflyPayoff,

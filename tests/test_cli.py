@@ -21,7 +21,7 @@ from lvkernel import (
     price_curve,
     CallPayoff,
 )
-from lvkernel.cli import RunConfig, main, run
+from lvkernel.cli import RunConfig, _build_parser, _config_from_namespace, main, run
 
 BSM_JSON = '{"kind": "bsm", "sigma": 0.3, "r": 0.1}'
 BSM = BSMModel(sigma=0.3, r=0.1)
@@ -168,7 +168,7 @@ class TestArtifacts:
     def test_byte_determinism(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(self.ARGS + ["--out", str(a)]) == 0
-        assert main(self.ARGS + ["--out", str(b), "--seed", "7"]) == 0
+        assert main(self.ARGS + ["--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
@@ -193,6 +193,51 @@ class TestArtifacts:
         clone = dataclasses.replace(RunConfig.from_json(cfg.to_json()), out=str(p2))
         assert run(clone) == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestRunConfigFromArgv:
+    """A run config built from any subcommand's argv replays main() byte for
+    byte after a JSON round trip, and its params are the subcommand's flags."""
+
+    CASES = {
+        "price": (["price", "--model", BSM_JSON, "--order", "2", "--t", "0.25", "--payoff",
+                   "call", "--strike", "15", "--grid", "10:20:0.5"],
+                  ["order", "t", "payoff", "strike", "k1", "k2", "spot", "grid",
+                   "basepoint", "method"]),
+        "kernel": (["kernel", "--model", '{"kind": "cev", "sigma": 0.3, "alpha": 0.667}',
+                    "--order", "2", "--t", "0.1", "--x", "15", "--grid", "12:18:0.1"],
+                   ["order", "t", "x", "grid", "basepoint"]),
+        "greeks": (["greeks", "--model", BSM_JSON, "--order", "2", "--t", "0.5", "--payoff",
+                    "call", "--strike", "20", "--grid", "10:30:0.5"],
+                   ["order", "t", "payoff", "strike", "k1", "k2", "spot", "grid", "dx",
+                    "basepoint", "method"]),
+        "bootstrap": (["bootstrap", "--model", '{"kind": "bsm", "sigma": 0.5, "r": 0.1}',
+                       "--order", "2", "--t", "1.0", "--steps", "10", "--xmax", "50", "--dx",
+                       "0.1", "--payoff", "call", "--strike", "20", "--compare-oracle",
+                       "bs-exact"],
+                      ["order", "t", "steps", "xmax", "dx", "payoff", "strike", "k1", "k2",
+                       "basepoint", "compare_oracle"]),
+        "compare": (["compare", "--model", BSM_JSON, "--oracle", "bs-exact", "--method",
+                     "order1", "--grid", "12:18:1", "--times", "0.01,0.05,0.1,0.2,0.5",
+                     "--strike", "15"],
+                    ["oracle", "method", "grid", "times", "strike", "steps", "basepoint"]),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_round_trip_replays_main(self, command, tmp_path, capsys):
+        argv, keys = self.CASES[command]
+        a, b = tmp_path / "main.csv", tmp_path / "run.csv"
+        cfg = _config_from_namespace(_build_parser().parse_args(argv + ["--out", str(a)]))
+        assert sorted(cfg.params) == sorted(keys)
+        assert main(argv + ["--out", str(a)]) == 0
+        assert run(dataclasses.replace(RunConfig.from_json(cfg.to_json()), out=str(b))) == 0
+        capsys.readouterr()
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_old_config_with_seed_still_loads(self):
+        cfg = RunConfig.from_json(json.dumps({"command": "price", "model": {}, "params": {},
+                                              "out": None, "seed": 7}))
+        assert cfg == RunConfig(command="price", model={})
 
 
 class TestKernelCommand:

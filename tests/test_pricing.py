@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from conftest import SQRT_2PI, OnePayoff
 from lvkernel import (
@@ -23,6 +24,7 @@ from lvkernel import (
     bs_delta,
     curve_greeks,
     greeks,
+    kernel_eval,
     price_butterfly_closed,
     price_call_closed,
     price_curve,
@@ -271,6 +273,28 @@ class TestClosedFormIdentities:
         for order in (1, 2):
             assert price_call_closed(order, model, 1e-6, 15.0, 30.0) == 15.0
             assert price_call_closed(order, model, 1e-6, 15.0, 3.0) == 0.0
+
+
+class TestClosedFormIsKernelMoment:
+    """The closed-form call is the kernel's Gaussian moment: adaptive
+    quadrature of kernel_eval(y) (y - K) over [K, x + 40 s], s = a(x) sqrt(t),
+    agrees to 1e-12, so a slip in the moment identity (the He_{k-2} shift, a
+    bracket term, the forward) cannot hide behind the 1e-5 of the
+    grid-quadrature checks."""
+
+    @pytest.mark.parametrize("model", CLOSED_FORM_MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("t", [0.01, 0.1, 0.5])
+    @pytest.mark.parametrize("x", [12.0, 15.0, 17.5, 22.0])
+    def test_call_is_kernel_moment(self, model, order, t, x):
+        K = 15.0
+        spec = KernelSpec(model, order=order)
+        s = model.jet(x).a * math.sqrt(t)
+        upper = x + 40.0 * s
+        points = [p for p in (x - s, x, x + s) if K < p < upper]
+        moment, _ = quad(lambda y: kernel_eval(spec, t, x, y) * (y - K), K, upper,
+                         points=points, epsabs=1e-14, limit=200)
+        assert abs(moment - price_call_closed(order, model, t, K, x)) <= 1e-12
 
 
 class TestQuadrature:
