@@ -145,16 +145,19 @@ class CNConfig:
 
 def _operator_bands(model: Model, t: float, xs: np.ndarray, dx: float):
     """Tridiagonal bands (sub, diag, super) of the spatial operator
-    1/2 a^2 u'' + b u' + c u at interior nodes (index 1..n-2)."""
-    a, b, c = model.coefficients(t, xs)
-    a = np.broadcast_to(np.asarray(a, dtype=float), xs.shape)
-    b = np.broadcast_to(np.asarray(b, dtype=float), xs.shape)
-    c = np.broadcast_to(np.asarray(c, dtype=float), xs.shape)
-    diff = 0.5 * a * a / dx**2
-    adv = b / (2.0 * dx)
+    1/2 a^2 u'' + b u' + c u at the interior nodes xs[1:-1]."""
+    xi = xs[1:-1]
+    a, b, c = model.coefficients(t, xi)
+    # in place where the result is new: this runs once per time step
+    diff = np.multiply(0.5, a, out=np.empty(xi.shape))
+    diff *= a
+    diff /= dx**2
+    adv = np.divide(b, 2.0 * dx, out=np.empty(xi.shape))
     lo = diff - adv          # coefficient of u_{i-1}
-    mid = -2.0 * diff + c    # coefficient of u_i
-    hi = diff + adv          # coefficient of u_{i+1}
+    mid = diff * -2.0        # coefficient of u_i
+    mid += c
+    hi = diff                # coefficient of u_{i+1}
+    hi += adv
     return lo, mid, hi
 
 
@@ -168,7 +171,7 @@ def cn_solve(model: Model, config: CNConfig, payoff: Payoff) -> PriceCurve:
     """
     # imported here, not at module level: they add about 0.1 s to every import
     # of the package, and nothing else needs them
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgtsv
     from scipy.sparse import diags
     from scipy.sparse.linalg import splu
 
@@ -185,64 +188,50 @@ def cn_solve(model: Model, config: CNConfig, payoff: Payoff) -> PriceCurve:
     _, _, c_left = model.coefficients(0.0, xs[0])
     c_left = float(np.asarray(c_left))
 
-    time_dep = model.is_time_dependent
-    lu = None
-    ab = None
-
-    def build_implicit(t_new: float):
-        """Banded matrix of I - dt/2 * A over unknowns u_0..u_{n-2}."""
-        lo, mid, hi = _operator_bands(model, t_new, xs, dx)
-        m = n - 1
-        sub = np.zeros(m)
-        diag = np.ones(m)
-        sup = np.zeros(m)
-        # interior rows 1..n-3 reference u_{i-1}, u_i, u_{i+1} normally
-        idx = np.arange(1, m - 1)
-        sub[idx - 1] = -0.5 * dt * lo[idx]
-        diag[idx] = 1.0 - 0.5 * dt * mid[idx]
-        sup[idx + 1] = -0.5 * dt * hi[idx]
+    def implicit(bands):
+        """Sub-, main and super-diagonal of I - dt/2 * A over unknowns
+        u_0..u_{n-2}; row 0 is the Dirichlet row."""
+        lo, mid, hi = bands
+        sub = np.empty(n - 2)
+        diag = np.ones(n - 1)
+        sup = np.zeros(n - 2)
+        np.multiply(-0.5 * dt, lo[:-1], out=sub[:-1])
+        np.multiply(0.5 * dt, mid[:-1], out=diag[1:-1])
+        np.subtract(1.0, diag[1:-1], out=diag[1:-1])
+        np.multiply(-0.5 * dt, hi[:-1], out=sup[1:])
         # row n-2: u_{n-1} = 2 u_{n-2} - u_{n-3} folds into the row
-        i = m - 1
-        sub[i - 1] = -0.5 * dt * (lo[i] - hi[i])
-        diag[i] = 1.0 - 0.5 * dt * (mid[i] + 2.0 * hi[i])
+        sub[-1] = -0.5 * dt * (lo[-1] - hi[-1])
+        diag[-1] = 1.0 - 0.5 * dt * (mid[-1] + 2.0 * hi[-1])
         return sub, diag, sup
 
-    def apply_explicit(t_old: float, u_old: np.ndarray) -> np.ndarray:
-        lo, mid, hi = _operator_bands(model, t_old, xs, dx)
-        out = u_old.copy()
-        i = slice(1, n - 1)
-        out[i] = u_old[i] + 0.5 * dt * (
-            lo[i] * u_old[0:n - 2] + mid[i] * u_old[i] + hi[i] * u_old[2:n]
-        )
-        return out
-
+    # the bands at t_new of one step are the explicit bands of the next, and
+    # stay fixed when the coefficients do not depend on time
+    bands = _operator_bands(model, 0.0, xs, dx)
+    time_dep = model.is_time_dependent
     if not time_dep:
-        sub, diag, sup = build_implicit(0.0)
-        m = n - 1
-        mat = diags(
-            [sub[:-1], diag, sup[1:]], offsets=[-1, 0, 1], shape=(m, m), format="csc"
-        )
+        sub, diag, sup = implicit(bands)
+        mat = diags([sub, diag, sup], offsets=[-1, 0, 1], shape=(n - 1, n - 1), format="csc")
         try:
             lu = splu(mat)
         except RuntimeError as exc:
             raise SingularMatrix(str(exc)) from exc
 
     for k in range(n_steps):
-        t_old = k * dt
         t_new = (k + 1) * dt
-        rhs_full = apply_explicit(t_old, u)
-        rhs = rhs_full[: n - 1].copy()
+        lo, mid, hi = bands
+        rhs = u[: n - 1].copy()
+        step = lo * u[0:n - 2]
+        step += mid * u[1:n - 1]
+        step += hi * u[2:n]
+        step *= 0.5 * dt
+        rhs[1:] += step
         rhs[0] = h0 * np.exp(c_left * t_new)
         if time_dep:
-            sub, diag, sup = build_implicit(t_new)
-            ab = np.zeros((3, n - 1))
-            ab[0, 1:] = sup[1:]
-            ab[1, :] = diag
-            ab[2, :-1] = sub[:-1]
-            try:
-                sol = solve_banded((1, 1), ab, rhs)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
-                raise SingularMatrix(str(exc)) from exc
+            bands = _operator_bands(model, t_new, xs, dx)
+            sub, diag, sup = implicit(bands)
+            *_, sol, info = dgtsv(sub, diag, sup, rhs, True, True, True, True)
+            if info != 0:  # pragma: no cover
+                raise SingularMatrix(f"tridiagonal solve failed (info {info})")
         else:
             sol = lu.solve(rhs)
         u[: n - 1] = sol
