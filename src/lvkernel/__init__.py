@@ -21,7 +21,7 @@ from .errors import (
     SingularMatrix,
 )
 from .grid import PriceCurve, SpatialGrid, simpson_weights
-from .kernel import KernelSpec, g0, g1_general, g2_general, hermite, kernel_eval
+from .kernel import KernelSpec, kernel_eval
 from .models import (
     BasepointRule,
     BSMModel,
@@ -44,7 +44,6 @@ from .oracles import (
     cn_solve,
     hagan_woodward_price,
     hagan_woodward_vol,
-    norm_cdf,
 )
 from .pricing import (
     ButterflyPayoff,
@@ -96,19 +95,14 @@ __all__ = [
     "bs_kernel",
     "cn_solve",
     "curve_greeks",
-    "g0",
-    "g1_general",
-    "g2_general",
     "greeks",
     "hagan_woodward_price",
     "hagan_woodward_vol",
-    "hermite",
     "kernel_eval",
     "kernel_matrix",
     "model_from_dict",
     "model_from_file",
     "model_from_json",
-    "norm_cdf",
     "price_butterfly_closed",
     "price_call_closed",
     "price_curve",

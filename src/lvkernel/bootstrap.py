@@ -83,9 +83,10 @@ def _mass_check(spec: KernelSpec, tau: float, grid: SpatialGrid,
     Only rows whose kernel both fits inside the grid (support within six
     standard deviations, beyond which the Gaussian tail is under 1e-9) and
     is resolvable (width at least two grid steps) are held to the mass
-    tolerance; unresolvable rows near the left cutoff are expected for
-    vanishing-at-zero diffusions and carry no payoff mass in the intended
-    use cases.
+    tolerance.  Unresolvable rows near the left cutoff are expected for
+    vanishing-at-zero diffusions and go unchecked, although a put carries
+    payoff mass there and its composed price can blow up unreported
+    (ROADMAP.md item 2: integrate those rows exactly).
     """
     xs = grid.nodes
     jet = spec.model.jet(xs)
@@ -122,33 +123,19 @@ def _closed_form_applies(payoff: Payoff, spec: KernelSpec) -> bool:
     )
 
 
-def bootstrap_solve(config: BootstrapConfig, payoff: Payoff,
-                    first_hop: str = "auto", check: bool = True) -> PriceCurve:
+def bootstrap_solve(config: BootstrapConfig, payoff: Payoff, check: bool = True) -> PriceCurve:
     """Compose the approximate solution operator n_steps times.
 
-    first_hop selects how the payoff itself is propagated over the first
-    sub-step: "closed" uses the closed-form price (exact treatment of the
-    payoff kink, available for call/put/butterfly with the at-x basepoint),
-    "quadrature" samples the payoff and convolves, "auto" picks the closed
-    form when it applies and n_steps >= 2.  All later steps are quadrature
-    convolutions with the same sub-step matrix.
+    One sub-step is plain quadrature pricing.  With two or more, the first
+    sub-step propagates the payoff by its closed-form price when one exists
+    (call, put or butterfly, the at-x basepoint, order 1 or 2), which treats
+    the payoff kink exactly; otherwise the sampled payoff is convolved.  All
+    later steps are quadrature convolutions with the same sub-step matrix.
     """
-    if first_hop not in ("auto", "closed", "quadrature"):
-        raise DomainError(f"unknown first_hop choice {first_hop!r}")
     spec = config.spec
     tau = config.tau
     grid = config.grid
-
-    use_closed = first_hop == "closed" or (
-        first_hop == "auto" and config.n_steps >= 2 and _closed_form_applies(payoff, spec)
-    )
-    if use_closed and not _closed_form_applies(payoff, spec):
-        raise DomainError(
-            "closed-form first hop needs a call, put, or butterfly payoff with "
-            "the at-x basepoint and order 1 or 2"
-        )
-
-    if config.n_steps == 1 and not use_closed:
+    if config.n_steps == 1:
         return price_curve(spec, tau, payoff, grid, method="quadrature",
                            check=check)
 
@@ -156,7 +143,7 @@ def bootstrap_solve(config: BootstrapConfig, payoff: Payoff,
     if check:
         _mass_check(spec, tau, grid, mass)
 
-    if use_closed:
+    if _closed_form_applies(payoff, spec):
         u = price_curve(spec, tau, payoff, grid, method="closed").values.copy()
         hops = config.n_steps - 1
     else:
@@ -187,7 +174,7 @@ def bootstrap_error_table(model: Model, strike: float, r: float, sigma: float,
     oracle; the cn oracle solves the model's own equation by finite
     differences.  A callable oracle_fn(t, xs) overrides both.
     """
-    from .oracles import CNConfig, bs_exact, cn_solve
+    from .oracles import _cn_reference, bs_exact
 
     if oracle_fn is None:
         if oracle == "bs-exact":
@@ -195,9 +182,7 @@ def bootstrap_error_table(model: Model, strike: float, r: float, sigma: float,
                 return bs_exact(t, strike, xs, sigma, r)
         elif oracle == "cn":
             def oracle_fn(t: float, xs: np.ndarray) -> np.ndarray:
-                dt = min(1e-3, t / 200.0)
-                cfg = CNConfig(grid=grid, dt=dt, t_total=t)
-                curve = cn_solve(model, cfg, CallPayoff(strike))
+                curve = _cn_reference(model, grid, t, CallPayoff(strike))
                 return np.interp(xs, curve.x, curve.values)
         else:
             raise DomainError(f"unknown oracle {oracle!r}")

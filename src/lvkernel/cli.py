@@ -8,22 +8,16 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from .bootstrap import BootstrapConfig, bootstrap_solve
 from .errors import DegenerateCoefficient, DomainError
-from .grid import PriceCurve, SpatialGrid
+from .grid import SpatialGrid
 from .kernel import KernelSpec, kernel_eval
-from .models import (
-    BasepointRule,
-    BSMModel,
-    CEVModel,
-    Model,
-    model_from_dict,
-    model_from_file,
-)
+from .models import BasepointRule, BSMModel, CEVModel, Model, model_from_dict
+from .oracles import _cn_reference, bs_exact, hagan_woodward_price
 from .pricing import (
     ButterflyPayoff,
     CallPayoff,
@@ -93,6 +87,39 @@ class RunConfig:
 # flag parsing
 # ---------------------------------------------------------------------------
 
+# Every flag, declared once.  Where a subcommand declares a flag differently
+# (type, choices, default, required status or help), its own entry is keyed
+# "command --flag".
+_FLAGS = {
+    "--order": dict(type=int, required=True),
+    "kernel --order": dict(type=int, choices=[0, 1, 2], required=True),
+    "bootstrap --order": dict(type=int, default=2),
+    "--t": dict(type=float, required=True),
+    "--payoff": dict(choices=["call", "put", "butterfly"], required=True),
+    "--strike": dict(type=float),
+    "compare --strike": dict(type=float, required=True),
+    "--k1": dict(type=float),
+    "--k2": dict(type=float),
+    "--spot": dict(type=float),
+    "--x": dict(type=float, required=True),
+    "--grid": dict(help="xmin:xmax:dx evaluation grid"),
+    "greeks --grid": dict(help="xmin:xmax:dx curve grid"),
+    "kernel --grid": dict(required=True, help="ymin:ymax:dy grid"),
+    "compare --grid": dict(required=True, help="xmin:xmax:dx evaluation grid"),
+    "--dx": dict(type=float, help="difference step with --spot (--grid uses its own dx)"),
+    "bootstrap --dx": dict(type=float, required=True),
+    "--xmax": dict(type=float, required=True),
+    "--steps": dict(type=int, required=True),
+    "compare --steps": dict(type=int, default=10, help="bootstrap sub-steps (method=bootstrap)"),
+    "--times": dict(required=True, help="comma-separated maturities"),
+    "--basepoint": dict(choices=["atx", "aty", "mid"], default="atx"),
+    "--method": dict(choices=["closed", "quadrature"], default="closed"),
+    "compare --method": dict(choices=["order1", "order2", "bootstrap"], required=True),
+    "--compare-oracle": dict(choices=["bs-exact", "cn"], required=True),
+    "--oracle": dict(choices=["bs-exact", "hagan-woodward", "cn"], required=True),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lvkernel",
@@ -100,75 +127,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "quadrature, bootstrap composition, and oracle tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for command, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--model-file", help="path to a model JSON file")
         g.add_argument("--model", help="inline model JSON object")
         p.add_argument("--out", help="artifact path (.csv or .json); default stdout")
-
-    p = sub.add_parser("price", help="option prices, single spot or curve")
-    common(p)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--payoff", choices=["call", "put", "butterfly"], required=True)
-    p.add_argument("--strike", type=float)
-    p.add_argument("--k1", type=float)
-    p.add_argument("--k2", type=float)
-    p.add_argument("--spot", type=float)
-    p.add_argument("--grid", help="xmin:xmax:dx evaluation grid")
-    p.add_argument("--basepoint", choices=["atx", "aty", "mid"], default="atx")
-    p.add_argument("--method", choices=["closed", "quadrature"], default="closed")
-
-    p = sub.add_parser("kernel", help="kernel values over a y grid at fixed x, t")
-    common(p)
-    p.add_argument("--order", type=int, choices=[0, 1, 2], required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--grid", required=True, help="ymin:ymax:dy grid")
-    p.add_argument("--basepoint", choices=["atx", "aty", "mid"], default="atx")
-
-    p = sub.add_parser("greeks", help="delta and gamma by central differences")
-    common(p)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--payoff", choices=["call", "put", "butterfly"], required=True)
-    p.add_argument("--strike", type=float)
-    p.add_argument("--k1", type=float)
-    p.add_argument("--k2", type=float)
-    p.add_argument("--spot", type=float)
-    p.add_argument("--grid", help="xmin:xmax:dx curve grid")
-    p.add_argument("--dx", type=float, help="difference step (default: grid dx)")
-    p.add_argument("--basepoint", choices=["atx", "aty", "mid"], default="atx")
-    p.add_argument("--method", choices=["closed", "quadrature"], default="closed")
-
-    p = sub.add_parser("bootstrap", help="compose the kernel over sub-steps")
-    common(p)
-    p.add_argument("--order", type=int, default=2)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--xmax", type=float, required=True)
-    p.add_argument("--dx", type=float, required=True)
-    p.add_argument("--payoff", choices=["call", "put", "butterfly"], required=True)
-    p.add_argument("--strike", type=float)
-    p.add_argument("--k1", type=float)
-    p.add_argument("--k2", type=float)
-    p.add_argument("--basepoint", choices=["atx", "aty", "mid"], default="atx")
-    p.add_argument("--compare-oracle", choices=["bs-exact", "cn"], required=True)
-
-    p = sub.add_parser("compare", help="approximation-vs-oracle error table")
-    common(p)
-    p.add_argument("--oracle", choices=["bs-exact", "hagan-woodward", "cn"],
-                   required=True)
-    p.add_argument("--method", choices=["order1", "order2", "bootstrap"],
-                   required=True)
-    p.add_argument("--grid", required=True, help="xmin:xmax:dx evaluation grid")
-    p.add_argument("--times", required=True, help="comma-separated maturities")
-    p.add_argument("--strike", type=float, required=True)
-    p.add_argument("--steps", type=int, default=10,
-                   help="bootstrap sub-steps (method=bootstrap)")
-    p.add_argument("--basepoint", choices=["atx", "aty", "mid"], default="atx")
-
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS.get(f"{command} {flag}", _FLAGS[flag]))
     return parser
 
 
@@ -241,17 +207,26 @@ def _payoff_from_params(params: dict) -> Payoff:
     return ButterflyPayoff(k1, strike, k2)
 
 
-def _bsm_params(model: Model, what: str) -> tuple:
-    if not isinstance(model, BSMModel):
-        raise UsageError(f"{what} needs a 'bsm' model")
-    return model.sigma, model.r
+def _oracle(name: str, model: Model, payoff: Payoff,
+            grid: SpatialGrid) -> Callable[[float], np.ndarray]:
+    """The named oracle as a function of maturity, valued at the grid nodes.
 
-
-def _cn_curve(model: Model, grid: SpatialGrid, t: float, payoff: Payoff) -> PriceCurve:
-    from .oracles import CNConfig, cn_solve
-
-    dt = min(1e-3, t / 200.0)
-    return cn_solve(model, CNConfig(grid=grid, dt=dt, t_total=t), payoff)
+    Raises UsageError, before anything is solved, when the oracle does not
+    fit the model or the payoff.
+    """
+    xs = grid.nodes
+    if name == "bs-exact":
+        if not isinstance(model, BSMModel):
+            raise UsageError("the bs-exact oracle needs a 'bsm' model")
+        if not isinstance(payoff, CallPayoff):
+            raise UsageError("the bs-exact oracle compares call payoffs only")
+        return lambda t: bs_exact(t, payoff.strike, xs, model.sigma, model.r)
+    if name == "hagan-woodward":
+        if not isinstance(model, CEVModel):
+            raise UsageError("the hagan-woodward oracle needs a 'cev' model")
+        return lambda t: hagan_woodward_price(t, payoff.strike, xs, model.sigma,
+                                              model.alpha, model.r)
+    return lambda t: _cn_reference(model, grid, t, payoff).values
 
 
 def _write_artifact(text: str, out: Optional[str]) -> None:
@@ -277,23 +252,33 @@ def _csv(header: str, rows: Sequence[Sequence[float]]) -> str:
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
-def _run_price(model: Model, params: dict) -> str:
+def _quote_prelude(model: Model, params: dict, command: str) -> tuple:
+    """The kernel spec and payoff of price and greeks, their --spot (None
+    with --grid) and their price curve on --grid (None with --spot)."""
     order = _check_price_order(params["order"])
-    t = params["t"]
     payoff = _payoff_from_params(params)
     basepoint = BasepointRule.parse(params["basepoint"])
     spec = KernelSpec(model=model, order=order, basepoint=basepoint)
     spot, grid_text = params.get("spot"), params.get("grid")
     if (spot is None) == (grid_text is None):
-        raise UsageError("price needs exactly one of --spot or --grid")
+        raise UsageError(f"{command} needs exactly one of --spot or --grid")
     if spot is not None:
-        if params["method"] != "closed":
-            raise UsageError("quadrature pricing needs --grid")
-        value = _price_closed_dispatch(spec, t, payoff, spot)
-        return _fmt(value) + "\n"
+        return spec, payoff, spot, None
+    if params.get("dx") is not None:
+        raise UsageError(f"{command} --grid differences at the grid's dx; "
+                         "--dx goes with --spot only")
     grid = _parse_grid(grid_text)
-    curve = price_curve(spec, t, payoff, grid, method=params["method"])
-    return _csv("x,price", zip(curve.x, curve.values))
+    return spec, payoff, None, price_curve(spec, params["t"], payoff, grid,
+                                           method=params["method"])
+
+
+def _run_price(model: Model, params: dict) -> str:
+    spec, payoff, spot, curve = _quote_prelude(model, params, "price")
+    if curve is not None:
+        return _csv("x,price", zip(curve.x, curve.values))
+    if params["method"] != "closed":
+        raise UsageError("quadrature pricing needs --grid")
+    return _fmt(_price_closed_dispatch(spec, params["t"], payoff, spot)) + "\n"
 
 
 def _run_kernel(model: Model, params: dict) -> str:
@@ -308,30 +293,17 @@ def _run_kernel(model: Model, params: dict) -> str:
 
 
 def _run_greeks(model: Model, params: dict) -> str:
-    order = _check_price_order(params["order"])
-    t = params["t"]
-    payoff = _payoff_from_params(params)
-    basepoint = BasepointRule.parse(params["basepoint"])
-    spec = KernelSpec(model=model, order=order, basepoint=basepoint)
-    spot, grid_text = params.get("spot"), params.get("grid")
-    if (spot is None) == (grid_text is None):
-        raise UsageError("greeks needs exactly one of --spot or --grid")
-    if spot is not None:
-        dx = params.get("dx")
-        if dx is None:
-            raise UsageError("greeks at a single --spot needs --dx")
-        if params["method"] != "closed":
-            raise UsageError("quadrature greeks need --grid")
-
-        def price_fn(tt: float, xx):
-            return _price_closed_dispatch(spec, tt, payoff, xx)
-
-        delta, gamma = greeks(price_fn, t, spot, dx)
-        return _csv("x,delta,gamma", [(spot, delta, gamma)])
-    grid = _parse_grid(grid_text)
-    curve = price_curve(spec, t, payoff, grid, method=params["method"])
-    xs, delta, gamma = curve_greeks(curve)
-    return _csv("x,delta,gamma", zip(xs, delta, gamma))
+    spec, payoff, spot, curve = _quote_prelude(model, params, "greeks")
+    if curve is not None:
+        return _csv("x,delta,gamma", zip(*curve_greeks(curve)))
+    dx = params.get("dx")
+    if dx is None:
+        raise UsageError("greeks at a single --spot needs --dx")
+    if params["method"] != "closed":
+        raise UsageError("quadrature greeks need --grid")
+    delta, gamma = greeks(lambda tt, xx: _price_closed_dispatch(spec, tt, payoff, xx),
+                          params["t"], spot, dx)
+    return _csv("x,delta,gamma", [(spot, delta, gamma)])
 
 
 def _run_bootstrap(model: Model, params: dict) -> str:
@@ -343,17 +315,9 @@ def _run_bootstrap(model: Model, params: dict) -> str:
     spec = KernelSpec(model=model, order=order, basepoint=basepoint)
     config = BootstrapConfig(spec=spec, t_total=t, n_steps=params["steps"],
                              grid=grid)
+    oracle = _oracle(params["compare_oracle"], model, payoff, grid)
     curve = bootstrap_solve(config, payoff)
-    oracle = params["compare_oracle"]
-    if oracle == "bs-exact":
-        from .oracles import bs_exact
-
-        sigma, r = _bsm_params(model, "the bs-exact oracle")
-        if not isinstance(payoff, CallPayoff):
-            raise UsageError("the bs-exact oracle compares call payoffs only")
-        ref = bs_exact(t, payoff.strike, curve.x, sigma, r)
-    else:
-        ref = _cn_curve(model, grid, t, payoff).values
+    ref = oracle(t)
     err = np.abs(curve.values - ref)
     return _csv("x,value,oracle,abs_error",
                 zip(curve.x, curve.values, ref, err))
@@ -361,12 +325,11 @@ def _run_bootstrap(model: Model, params: dict) -> str:
 
 def _run_compare(model: Model, params: dict) -> str:
     method = params["method"]
-    oracle = params["oracle"]
-    strike = params["strike"]
     grid = _parse_grid(params["grid"])
     times = _parse_times(params["times"])
     basepoint = BasepointRule.parse(params["basepoint"])
-    payoff = CallPayoff(strike)
+    payoff = CallPayoff(params["strike"])
+    oracle = _oracle(params["oracle"], model, payoff, grid)
     order = 1 if method == "order1" else 2
     spec = KernelSpec(model=model, order=order, basepoint=basepoint)
 
@@ -378,32 +341,25 @@ def _run_compare(model: Model, params: dict) -> str:
             approx = bootstrap_solve(config, payoff).values
         else:
             approx = _price_closed_dispatch(spec, t, payoff, grid.nodes)
-        if oracle == "bs-exact":
-            from .oracles import bs_exact
-
-            sigma, r = _bsm_params(model, "the bs-exact oracle")
-            ref = bs_exact(t, strike, grid.nodes, sigma, r)
-        elif oracle == "hagan-woodward":
-            from .oracles import hagan_woodward_price
-
-            if not isinstance(model, CEVModel):
-                raise UsageError("the hagan-woodward oracle needs a 'cev' model")
-            ref = hagan_woodward_price(t, strike, grid.nodes, model.sigma,
-                                       model.alpha, model.r)
-        else:
-            ref = _cn_curve(model, grid, t, payoff).values
         approx = np.broadcast_to(np.asarray(approx, dtype=float), grid.nodes.shape)
-        for x, a, o in zip(grid.nodes, approx, np.asarray(ref, dtype=float)):
+        for x, a, o in zip(grid.nodes, approx, np.asarray(oracle(t), dtype=float)):
             rows.append((t, x, a, o, abs(a - o)))
     return _csv("t,x,approx,oracle,abs_error", rows)
 
 
-_RUNNERS = {
-    "price": _run_price,
-    "kernel": _run_kernel,
-    "greeks": _run_greeks,
-    "bootstrap": _run_bootstrap,
-    "compare": _run_compare,
+_PAYOFF_FLAGS = "--payoff --strike --k1 --k2"
+# subcommand: (runner, help, its flags in the order --help lists them)
+_COMMANDS = {
+    "price": (_run_price, "option prices, single spot or curve",
+              f"--order --t {_PAYOFF_FLAGS} --spot --grid --basepoint --method"),
+    "kernel": (_run_kernel, "kernel values over a y grid at fixed x, t",
+               "--order --t --x --grid --basepoint"),
+    "greeks": (_run_greeks, "delta and gamma by central differences",
+               f"--order --t {_PAYOFF_FLAGS} --spot --grid --dx --basepoint --method"),
+    "bootstrap": (_run_bootstrap, "compose the kernel over sub-steps",
+                  f"--order --t --steps --xmax --dx {_PAYOFF_FLAGS} --basepoint --compare-oracle"),
+    "compare": (_run_compare, "approximation-vs-oracle error table",
+                "--oracle --method --grid --times --strike --steps --basepoint"),
 }
 
 
@@ -413,7 +369,7 @@ _RUNNERS = {
 
 def run(config: RunConfig) -> int:
     """Execute a parsed configuration. Returns the process exit code."""
-    if config.command not in _RUNNERS:
+    if config.command not in _COMMANDS:
         print(f"unknown command {config.command!r}", file=sys.stderr)
         return 2
     try:
@@ -422,7 +378,7 @@ def run(config: RunConfig) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     try:
-        artifact = _RUNNERS[config.command](model, config.params)
+        artifact = _COMMANDS[config.command][0](model, config.params)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2

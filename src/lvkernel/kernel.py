@@ -20,8 +20,7 @@ import numpy as np
 from .errors import DomainError
 from .models import BasepointRule, CoefficientJet, Model, basepoint
 
-__all__ = ["EXP_ARG_MAX", "KernelSpec", "hermite", "g0", "g1_general", "g2_general",
-           "kernel_eval"]
+__all__ = ["EXP_ARG_MAX", "KernelSpec", "kernel_eval"]
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -47,19 +46,6 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.order not in (0, 1, 2):
             raise DomainError(f"kernel order must be 0, 1 or 2, got {self.order}")
-
-
-def hermite(theta: ArrayLike, a: ArrayLike) -> tuple:
-    """The rescaled Hermite polynomials H_0..H_6 at Theta and scale a.
-
-    They satisfy H_0 = 1 and H_{k+1} = -Theta*H_k + H_k'(Theta)/a**2.
-    """
-    if np.any(np.asarray(a) <= 0.0):
-        raise DomainError("hermite scale a must be positive")
-    th = np.asarray(theta, dtype=float)
-    ia2 = 1.0 / np.asarray(a, dtype=float) ** 2
-    return tuple(sum((-1) ** k * h * th ** (k - 2 * j) * ia2**j for j, h in enumerate(row))
-                 for k, row in enumerate(_HERMITE))
 
 
 def _p_polynomials(jet: CoefficientJet, xi):
@@ -161,31 +147,6 @@ def _kernel(jet: CoefficientJet, t: float, x: ArrayLike, y: ArrayLike, z: ArrayL
         poly += c[0]
     out *= poly
     return out[()] if out.ndim == 0 else out
-
-
-def g0(jet: CoefficientJet, t: float, x: ArrayLike, y: ArrayLike) -> ArrayLike:
-    """Order-0 kernel: the dilated Gaussian with scale a(0,z)*sqrt(t)."""
-    return _kernel(jet, t, x, y, x, 0)
-
-
-def g1_general(jet: CoefficientJet, t: float, x: ArrayLike, y: ArrayLike, z: ArrayLike) -> ArrayLike:
-    """Order-1 kernel at an arbitrary basepoint z.
-
-    Gaussian prefactor times the bracket
-        1 + (3 a a' - 2 b)/(2 a^2) * (x-y) - a'/(2 t a^3) * (x-y)^3
-          + a' * (x-z) * ((x-y)^2 - t a^2) / (t a^3),
-    whose last term is a'(z) (x-z) dG_0/da, the first Taylor term of a about z.
-    """
-    return _kernel(jet, t, x, y, z, 1)
-
-
-def g2_general(jet: CoefficientJet, t: float, x: ArrayLike, y: ArrayLike, z: ArrayLike) -> ArrayLike:
-    """Order-2 kernel at an arbitrary basepoint z.
-
-    Adds t * (P_0 + sum_k P_k(xi) H_k(Theta_t)) * G_0 to the order-1 kernel,
-    with Theta_t = (x-y)/(a^2 sqrt(t)) and xi = (x-z)/sqrt(t).
-    """
-    return _kernel(jet, t, x, y, z, 2)
 
 
 def kernel_eval(spec: KernelSpec, t: float, x: ArrayLike, y: ArrayLike) -> ArrayLike:

@@ -14,8 +14,6 @@ from .models import Model
 from .pricing import Payoff
 
 __all__ = [
-    "norm_cdf",
-    "norm_pdf",
     "bs_exact",
     "bs_delta",
     "bs_gamma",
@@ -29,14 +27,14 @@ __all__ = [
 ArrayLike = Union[float, np.ndarray]
 
 
-def norm_cdf(x: ArrayLike) -> ArrayLike:
+def _norm_cdf(x: ArrayLike) -> ArrayLike:
     """Cumulative standard normal via the complementary error function."""
     from scipy.special import erfc
 
     return 0.5 * erfc(-np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 
-def norm_pdf(x: ArrayLike) -> ArrayLike:
+def _norm_pdf(x: ArrayLike) -> ArrayLike:
     x = np.asarray(x, dtype=float)
     return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
 
@@ -56,19 +54,19 @@ def _bs_d1_d2(t: float, K: float, x: ArrayLike, sigma: ArrayLike, r: float):
 def bs_exact(t: float, K: float, x: ArrayLike, sigma: float, r: float = 0.0) -> ArrayLike:
     """Exact Black-Scholes call price x N(d1) - K e^(-rt) N(d2)."""
     d1, d2 = _bs_d1_d2(t, K, x, sigma, r)
-    v = np.asarray(x, dtype=float) * norm_cdf(d1) - K * np.exp(-r * t) * norm_cdf(d2)
+    v = np.asarray(x, dtype=float) * _norm_cdf(d1) - K * np.exp(-r * t) * _norm_cdf(d2)
     return float(v) if not isinstance(x, np.ndarray) else v
 
 
 def bs_delta(t: float, K: float, x: ArrayLike, sigma: float, r: float = 0.0) -> ArrayLike:
     d1, _ = _bs_d1_d2(t, K, x, sigma, r)
-    v = norm_cdf(d1)
+    v = _norm_cdf(d1)
     return float(v) if not isinstance(x, np.ndarray) else v
 
 
 def bs_gamma(t: float, K: float, x: ArrayLike, sigma: float, r: float = 0.0) -> ArrayLike:
     d1, _ = _bs_d1_d2(t, K, x, sigma, r)
-    v = norm_pdf(d1) / (np.asarray(x, dtype=float) * sigma * np.sqrt(t))
+    v = _norm_pdf(d1) / (np.asarray(x, dtype=float) * sigma * np.sqrt(t))
     return float(v) if not isinstance(x, np.ndarray) else v
 
 
@@ -238,3 +236,9 @@ def cn_solve(model: Model, config: CNConfig, payoff: Payoff) -> PriceCurve:
         u[n - 1] = 2.0 * u[n - 2] - u[n - 3]
 
     return PriceCurve(xs, u)
+
+
+def _cn_reference(model: Model, grid: SpatialGrid, t: float, payoff: Payoff) -> PriceCurve:
+    """cn_solve to maturity t with the time step min(1e-3, t/200) that the CLI
+    and bootstrap_error_table use as their Crank-Nicolson oracle."""
+    return cn_solve(model, CNConfig(grid=grid, dt=min(1e-3, t / 200.0), t_total=t), payoff)

@@ -189,7 +189,12 @@ def price_call_closed(order: int, model: Model, t: float, K: float, x: ArrayLike
 
 def price_put(order: int, model: Model, t: float, K: float, x: ArrayLike) -> ArrayLike:
     """Put price via parity: put = call - forward, the forward being the
-    kernel's full-line moment m + b t (+ c t m at order 2), m = x - K."""
+    kernel's full-line moment m + b t (+ c t m at order 2), m = x - K.
+
+    The order-1 kernel has a negative lobe, so an order-1 put far out of the
+    money can be negative: price_put(1, BSMModel(0.3, 0.1), 0.1, 15.0, 20.0)
+    is -1.30e-3.  The order-2 price there is +8.9e-4.
+    """
     _check_quote(order, t, K)
     xs = _spot(x)
     jet = model.jet(xs)

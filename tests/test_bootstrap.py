@@ -16,7 +16,6 @@ from lvkernel import (
     DomainError,
     GridTooCoarseWarning,
     KernelSpec,
-    SampledPayoff,
     SpatialGrid,
     bootstrap_error_table,
     bootstrap_solve,
@@ -91,8 +90,7 @@ class TestBootstrapSolve:
         spec = KernelSpec(MODEL, order=2)
         grid = SpatialGrid.regular(40.0, 0.1)
         config = BootstrapConfig(spec, t_total=0.1, n_steps=1, grid=grid)
-        boot = bootstrap_solve(config, CallPayoff(STRIKE), first_hop="quadrature",
-                               check=False)
+        boot = bootstrap_solve(config, CallPayoff(STRIKE), check=False)
         direct = price_quadrature(spec, 0.1, CallPayoff(STRIKE), grid.nodes, grid,
                                   check=False)
         np.testing.assert_allclose(boot.values, direct, rtol=0, atol=0)
@@ -105,30 +103,6 @@ class TestBootstrapSolve:
         direct = price_curve(spec, 0.1, CallPayoff(STRIKE), grid, check=False)
         np.testing.assert_allclose(boot.values, direct.values, rtol=0, atol=0)
 
-    def test_closed_first_hop_single_step_is_closed_curve(self):
-        spec = KernelSpec(MODEL, order=2)
-        grid = SpatialGrid.regular(40.0, 0.1)
-        config = BootstrapConfig(spec, t_total=0.1, n_steps=1, grid=grid)
-        boot = bootstrap_solve(config, CallPayoff(STRIKE), first_hop="closed",
-                               check=False)
-        closed = price_curve(spec, 0.1, CallPayoff(STRIKE), grid, method="closed")
-        np.testing.assert_allclose(boot.values, closed.values, rtol=0, atol=0)
-
-    def test_closed_first_hop_rejects_sampled_payoff(self):
-        spec = KernelSpec(MODEL, order=2)
-        grid = SpatialGrid.regular(40.0, 0.1)
-        config = BootstrapConfig(spec, t_total=0.1, n_steps=2, grid=grid)
-        payoff = SampledPayoff(np.array([0.1, 40.0]), np.array([1.0, 1.0]))
-        with pytest.raises(DomainError):
-            bootstrap_solve(config, payoff, first_hop="closed", check=False)
-
-    def test_unknown_first_hop_rejected(self):
-        spec = KernelSpec(MODEL, order=2)
-        grid = SpatialGrid.regular(40.0, 0.1)
-        config = BootstrapConfig(spec, t_total=0.1, n_steps=2, grid=grid)
-        with pytest.raises(DomainError):
-            bootstrap_solve(config, CallPayoff(STRIKE), first_hop="magic")
-
     def test_order_zero_composition_is_a_semigroup(self):
         # with a constant jet the order-0 kernel is an exact Gaussian
         # semigroup, so composing five sub-steps must reproduce the single
@@ -140,10 +114,10 @@ class TestBootstrapSolve:
         payoff = CallPayoff(20.0)
         one = bootstrap_solve(
             BootstrapConfig(spec, t_total=0.25, n_steps=1, grid=grid),
-            payoff, first_hop="quadrature", check=False)
+            payoff, check=False)
         five = bootstrap_solve(
             BootstrapConfig(spec, t_total=0.25, n_steps=5, grid=grid),
-            payoff, first_hop="quadrature", check=False)
+            payoff, check=False)
         mask = (grid.nodes >= 15.0) & (grid.nodes <= 25.0)
         diff = np.max(np.abs(one.values[mask] - five.values[mask]))
         assert diff < 1e-6

@@ -276,6 +276,15 @@ class TestGreeksCommand:
         _, err = capsys.readouterr()
         assert rc == 2 and "--dx" in err
 
+    def test_dx_with_grid_is_a_usage_error(self, capsys):
+        # the grid's own spacing sets the step, so a --dx would go unused
+        rc = main(["greeks", "--model", BSM_JSON, "--order", "2", "--t", "0.5",
+                   "--payoff", "call", "--strike", "20", "--grid", "10:12:0.5",
+                   "--dx", "0.001"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert "--dx" in err and "--grid" in err
+
     def test_curve_variant_matches_library(self, capsys):
         rc = main(["greeks", "--model", BSM_JSON, "--order", "2", "--t", "0.5",
                    "--payoff", "call", "--strike", "20", "--grid", "10:30:0.5"])
@@ -358,6 +367,52 @@ class TestCompareCommand:
                    "--strike", "15"])
         _, err = capsys.readouterr()
         assert rc == 2 and "--times" in err
+
+
+CEV_JSON = '{"kind": "cev", "sigma": 0.3, "alpha": 0.5}'
+BOOTSTRAP_ARGS = ["--order", "2", "--t", "0.2", "--steps", "2", "--xmax", "40",
+                  "--dx", "0.1", "--strike", "20"]
+COMPARE_ARGS = ["--grid", "12:18:1", "--times", "0.1", "--strike", "15"]
+
+
+class TestOracleFitsBeforeSolve:
+    """An oracle that does not fit the model or the payoff exits 2 with its
+    message before anything is composed or priced."""
+
+    CASES = {
+        "bootstrap-bs-exact-cev": (
+            ["bootstrap", "--model", CEV_JSON, *BOOTSTRAP_ARGS, "--payoff", "call",
+             "--compare-oracle", "bs-exact"],
+            "the bs-exact oracle needs a 'bsm' model\n"),
+        "bootstrap-bs-exact-put": (
+            ["bootstrap", "--model", BSM_JSON, *BOOTSTRAP_ARGS, "--payoff", "put",
+             "--compare-oracle", "bs-exact"],
+            "the bs-exact oracle compares call payoffs only\n"),
+        "compare-hagan-woodward-bsm": (
+            ["compare", "--model", BSM_JSON, "--oracle", "hagan-woodward", "--method",
+             "order2", *COMPARE_ARGS],
+            "the hagan-woodward oracle needs a 'cev' model\n"),
+        "compare-hagan-woodward-bsm-bootstrap": (
+            ["compare", "--model", BSM_JSON, "--oracle", "hagan-woodward", "--method",
+             "bootstrap", *COMPARE_ARGS],
+            "the hagan-woodward oracle needs a 'cev' model\n"),
+        "compare-bs-exact-cev": (
+            ["compare", "--model", CEV_JSON, "--oracle", "bs-exact", "--method",
+             "order1", *COMPARE_ARGS],
+            "the bs-exact oracle needs a 'bsm' model\n"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_mismatch_exits_before_any_solve(self, case, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the oracle was checked")
+
+        monkeypatch.setattr("lvkernel.cli.bootstrap_solve", no_solve)
+        monkeypatch.setattr("lvkernel.cli._price_closed_dispatch", no_solve)
+        argv, message = self.CASES[case]
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (2, "", message)
 
 
 class TestModuleEntryPoint:

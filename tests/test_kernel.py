@@ -1,10 +1,11 @@
-"""Kernel building blocks: rescaled Hermite values, the order-0/1/2 kernels,
-their analytic reductions at the diagonal basepoint, mass identities,
-convergence of every basepoint rule off the diagonal, and the one
+"""Kernel building blocks: the Hermite-to-power conversion, the order-0/1/2
+kernels, their analytic reductions at the diagonal basepoint, mass
+identities, convergence of every basepoint rule off the diagonal, and the one
 Gaussian-times-polynomial form against the Hermite-series formula."""
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import herme2poly, hermeval
 from scipy.integrate import simpson
 
 from conftest import (
@@ -25,131 +26,99 @@ from lvkernel import (
     TimeDependentBSMModel,
     basepoint,
     bs_exact,
-    g0,
-    g1_general,
-    g2_general,
-    hermite,
     kernel_eval,
     price_quadrature,
 )
-from lvkernel.kernel import EXP_ARG_MAX, _p_polynomials
+from lvkernel.kernel import EXP_ARG_MAX, _he_to_power, _p_polynomials
 
 
-class TestHermite:
-    def test_values_at_origin_unit_scale(self):
-        h = hermite(0.0, 1.0)
-        expected = [1.0, 0.0, -1.0, 0.0, 3.0, 0.0, -15.0]
-        for k in range(7):
-            assert h[k] == pytest.approx(expected[k], abs=1e-15)
+class TestHeToPower:
+    """_he_to_power against NumPy's conversion of a probabilists' Hermite
+    series to powers, which shares no table with it."""
 
-    def test_values_at_one_unit_scale(self):
-        h = hermite(1.0, 1.0)
-        expected = [1.0, -1.0, 0.0, 2.0, -2.0, -6.0, 16.0]
-        for k in range(7):
-            assert h[k] == pytest.approx(expected[k], abs=1e-14)
-
-    def test_scale_must_be_positive(self):
-        with pytest.raises(DomainError):
-            hermite(0.5, 0.0)
-        with pytest.raises(DomainError):
-            hermite(0.5, -1.0)
-
-    def test_vectorizes(self):
-        theta = np.array([0.0, 1.0, -2.0])
-        h = hermite(theta, 1.5)
-        assert np.asarray(h[3]).shape == theta.shape
-
-    def test_raising_recursion(self):
-        """H_{k+1} = -Theta*H_k + H_k'(Theta)/a**2, with the derivatives of the
-        closed forms written out by hand."""
-        rng = np.random.default_rng(20240901)
-        theta = rng.uniform(-5.0, 5.0, size=1000)
-        a = rng.uniform(0.2, 3.0, size=1000)
-        ia2 = 1.0 / a**2
-        h = hermite(theta, a)
-        derivs = [
-            np.zeros_like(theta),
-            -np.ones_like(theta),
-            2.0 * theta,
-            -3.0 * theta**2 + 3.0 * ia2,
-            4.0 * theta**3 - 12.0 * theta * ia2,
-            -5.0 * theta**4 + 30.0 * theta**2 * ia2 - 15.0 * ia2**2,
-        ]
-        for k in range(6):
-            lhs = h[k + 1]
-            rhs = -theta * h[k] + derivs[k] * ia2
-            tol = 1e-12 * np.maximum(1.0, np.abs(lhs))
-            assert np.all(np.abs(lhs - rhs) <= tol), f"recursion fails at k={k}"
+    @pytest.mark.parametrize("length", range(1, 8))
+    def test_matches_numpy_herme2poly(self, length):
+        rng = np.random.default_rng(length)
+        for _ in range(20):
+            h = rng.uniform(-2.0, 2.0, length)
+            want = herme2poly(h)
+            got = np.array(_he_to_power(list(h)))
+            assert got.shape == want.shape
+            # the largest gap measured is 3.2e-16 of the largest coefficient
+            tol = 2e-15 * max(1.0, np.max(np.abs(want)))
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol)
 
 
-def _bsm_jet(sigma, r, z):
-    return BSMModel(sigma=sigma, r=r).jet(z)
+def _kernel(model, order, t, x, y):
+    """The order-n kernel at the default basepoint z = x."""
+    return kernel_eval(KernelSpec(model, order), t, x, y)
 
 
 class TestOrderZero:
+    # a constant-coefficient model does not change under translation, so
+    # these evaluate at x = y = 1 (the basepoint must be positive)
     def test_peak_value_unit_coefficients(self):
-        jet = constant_coefficient_model(a=1.0).jet(1.0)
-        assert g0(jet, 1.0, 0.0, 0.0) == pytest.approx(1.0 / SQRT_2PI, rel=1e-15)
+        model = constant_coefficient_model(a=1.0)
+        assert _kernel(model, 0, 1.0, 1.0, 1.0) == pytest.approx(1.0 / SQRT_2PI, rel=1e-15)
 
     def test_pointwise_value(self):
-        # a=2, t=0.25: scale a*sqrt(t)=1, so g0 at x-y=1 is the standard
-        # normal density at 1
-        jet = constant_coefficient_model(a=2.0).jet(1.0)
-        assert g0(jet, 0.25, 1.0, 0.0) == pytest.approx(
+        # a=2, t=0.25: scale a*sqrt(t)=1, so the kernel at x-y=1 is the
+        # standard normal density at 1
+        model = constant_coefficient_model(a=2.0)
+        assert _kernel(model, 0, 0.25, 2.0, 1.0) == pytest.approx(
             0.24197072451914337, rel=1e-14
         )
 
     def test_mass_is_one(self):
         sigma, r, t, x = 0.3, 0.1, 0.1, 15.0
-        jet = _bsm_jet(sigma, r, x)
-        half = 10.0 * jet.a * np.sqrt(t)
+        model = BSMModel(sigma=sigma, r=r)
+        half = 10.0 * model.jet(x).a * np.sqrt(t)
         ys = np.linspace(x - half, x + half, 2001)
-        mass = simpson(g0(jet, t, x, ys), x=ys)
+        mass = simpson(_kernel(model, 0, t, x, ys), x=ys)
         assert mass == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("t", [0.0, -0.5, np.nan, np.inf])
     def test_invalid_time_rejected(self, t):
-        jet = constant_coefficient_model().jet(1.0)
         with pytest.raises(DomainError):
-            g0(jet, t, 0.0, 0.0)
+            _kernel(constant_coefficient_model(), 0, t, 1.0, 1.0)
 
 
 class TestOrderOne:
     def test_reduces_to_order_zero_on_diagonal(self):
-        jet = _bsm_jet(0.3, 0.1, 15.0)
-        assert g1_general(jet, 0.2, 15.0, 15.0, 15.0) == pytest.approx(
-            g0(jet, 0.2, 15.0, 15.0), rel=1e-15
+        model = BSMModel(sigma=0.3, r=0.1)
+        assert _kernel(model, 1, 0.2, 15.0, 15.0) == pytest.approx(
+            _kernel(model, 0, 0.2, 15.0, 15.0), rel=1e-15
         )
 
     def test_matches_lognormal_display_at_diagonal_basepoint(self):
         sigma, r, t, x = 0.3, 0.1, 0.1, 15.0
-        jet = _bsm_jet(sigma, r, x)
         ys = np.array([11.0, 14.0, 15.0, 16.5, 19.0])
-        got = g1_general(jet, t, x, ys, x)
+        got = _kernel(BSMModel(sigma=sigma, r=r), 1, t, x, ys)
         want = lognormal_order1_reference(t, x, ys, sigma, r)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_mass_is_one(self):
         sigma, r, t, x = 0.3, 0.1, 0.1, 15.0
-        jet = _bsm_jet(sigma, r, x)
-        half = 10.0 * jet.a * np.sqrt(t)
+        model = BSMModel(sigma=sigma, r=r)
+        half = 10.0 * model.jet(x).a * np.sqrt(t)
         ys = np.linspace(x - half, x + half, 2001)
-        mass = simpson(g1_general(jet, t, x, ys, x), x=ys)
+        mass = simpson(_kernel(model, 1, t, x, ys), x=ys)
         assert mass == pytest.approx(1.0, abs=1e-8)
 
     def test_first_moment_is_drifted_start(self):
         # integrating y against the order-1 kernel recovers x + b*t exactly
         sigma, r, t, x = 0.3, 0.1, 0.1, 15.0
-        jet = _bsm_jet(sigma, r, x)
+        model = BSMModel(sigma=sigma, r=r)
+        jet = model.jet(x)
         half = 10.0 * jet.a * np.sqrt(t)
         ys = np.linspace(x - half, x + half, 2001)
-        moment = simpson(ys * g1_general(jet, t, x, ys, x), x=ys)
+        moment = simpson(ys * _kernel(model, 1, t, x, ys), x=ys)
         assert moment == pytest.approx(x + jet.b * t, abs=1e-8)
 
 
 class TestOrderTwo:
     def test_odd_coefficient_polynomials_vanish_on_diagonal(self):
-        jet = _bsm_jet(0.3, 0.1, 15.0)
+        jet = BSMModel(sigma=0.3, r=0.1).jet(15.0)
         p = _p_polynomials(jet, 0.0)
         assert p[1] == 0.0
         assert p[3] == 0.0
@@ -157,48 +126,48 @@ class TestOrderTwo:
 
     def test_correction_matches_lognormal_display(self):
         sigma, r, t, x = 0.3, 0.1, 0.1, 15.0
-        jet = _bsm_jet(sigma, r, x)
+        model = BSMModel(sigma=sigma, r=r)
         ys = np.array([11.0, 14.0, 15.0, 16.5, 19.0])
-        got = g2_general(jet, t, x, ys, x) - g1_general(jet, t, x, ys, x)
+        got = _kernel(model, 2, t, x, ys) - _kernel(model, 1, t, x, ys)
         want = lognormal_order2_reference_correction(t, x, ys, sigma, r)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
     def test_correction_matches_display_with_volatility_slope(self):
         sigma, sdot, r, t, x = 0.3, 0.2, 0.1, 0.1, 15.0
-        jet = TimeDependentBSMModel(sigma=sigma, sigma_dot0=sdot, r=r).jet(x)
+        model = TimeDependentBSMModel(sigma=sigma, sigma_dot0=sdot, r=r)
         ys = np.array([12.0, 14.0, 15.0, 17.0])
-        got = g2_general(jet, t, x, ys, x) - g1_general(jet, t, x, ys, x)
+        got = _kernel(model, 2, t, x, ys) - _kernel(model, 1, t, x, ys)
         want = lognormal_order2_reference_correction(t, x, ys, sigma, r, sigma_dot=sdot)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
     def test_mass_picks_up_killing_rate(self):
         # order-2 mass is 1 + c*t; for the lognormal model c = -r
         sigma, r, t, x = 0.3, 0.1, 0.1, 15.0
-        jet = _bsm_jet(sigma, r, x)
-        half = 10.0 * jet.a * np.sqrt(t)
+        model = BSMModel(sigma=sigma, r=r)
+        half = 10.0 * model.jet(x).a * np.sqrt(t)
         ys = np.linspace(x - half, x + half, 2001)
-        mass = simpson(g2_general(jet, t, x, ys, x), x=ys)
+        mass = simpson(_kernel(model, 2, t, x, ys), x=ys)
         assert mass == pytest.approx(1.0 - r * t, abs=1e-8)
 
 
 class TestPowerLawDisplay:
     def test_order_one_matches_power_law_display(self):
         sigma, alpha, r, t, x = 0.3, 2.0 / 3.0, 0.1, 0.1, 15.0
-        jet = CEVModel(sigma=sigma, alpha=alpha, r=r).jet(x)
         ys = np.array([12.0, 14.0, 15.0, 16.5, 18.0])
-        got = g1_general(jet, t, x, ys, x)
+        got = _kernel(CEVModel(sigma=sigma, alpha=alpha, r=r), 1, t, x, ys)
         want = cev_order1_reference(t, x, ys, sigma, alpha, r)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 class TestKernelEval:
-    def test_order_zero_dispatch(self):
-        model = BSMModel(sigma=0.3, r=0.1)
-        spec = KernelSpec(model, order=0)
+    def test_order_zero_is_the_dilated_gaussian(self):
+        sigma, t, x = 0.3, 0.1, 15.0
+        spec = KernelSpec(BSMModel(sigma=sigma, r=0.1), order=0)
         ys = np.array([14.0, 15.0, 16.0])
-        got = kernel_eval(spec, 0.1, 15.0, ys)
-        want = g0(model.jet(15.0), 0.1, 15.0, ys)
-        np.testing.assert_allclose(got, want, rtol=0, atol=0)
+        got = kernel_eval(spec, t, x, ys)
+        s2 = (sigma * x) ** 2 * t
+        want = np.exp(-(x - ys) ** 2 / (2.0 * s2)) / np.sqrt(2.0 * np.pi * s2)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_unit_exponent_power_law_equals_lognormal(self, order):
@@ -288,9 +257,13 @@ def _hermite_series_kernel(model, order, rule, t, x, y):
                - ap / (2.0 * t * a**3) * d**3
                + ap * (x - z) * (d * d - t * a * a) / (t * a**3))
     if order == 2:
+        # sum_k P_k(xi) H_k(Theta) with H_k(Theta) = (-1/a)^k He_k(a Theta) and
+        # a Theta = d/(a sqrt(t)), summed by NumPy's Hermite_e evaluation
         p = _p_polynomials(jet, (x - z) / np.sqrt(t))
-        h = hermite(d / (a * a * np.sqrt(t)), a)
-        bracket = bracket + t * (p[0] + sum(p[k] * h[k] for k in range(1, 7)))
+        u, a, *p = np.broadcast_arrays(d / (a * np.sqrt(t)), a, *p)
+        series = hermeval(u, np.stack([pk * (-1.0 / a) ** k for k, pk in enumerate(p)]),
+                          tensor=False)
+        bracket = bracket + t * series
     return gauss * bracket
 
 

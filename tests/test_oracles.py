@@ -25,21 +25,20 @@ from lvkernel import (
     cn_solve,
     hagan_woodward_price,
     hagan_woodward_vol,
-    norm_cdf,
 )
 import lvkernel
-from lvkernel.oracles import norm_pdf
+from lvkernel.oracles import _norm_cdf, _norm_pdf
 
 
 class TestNormalFunctions:
     def test_cdf_against_erf(self):
         xs = np.linspace(-8.0, 8.0, 161)
         want = 0.5 * (1.0 + erf(xs / np.sqrt(2.0)))
-        np.testing.assert_allclose(norm_cdf(xs), want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_norm_cdf(xs), want, rtol=0, atol=1e-15)
 
     def test_pdf_values(self):
-        assert norm_pdf(0.0) == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), rel=1e-15)
-        assert norm_pdf(1.0) == pytest.approx(0.24197072451914337, rel=1e-14)
+        assert _norm_pdf(0.0) == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), rel=1e-15)
+        assert _norm_pdf(1.0) == pytest.approx(0.24197072451914337, rel=1e-14)
 
 
 class TestExactLognormal:
