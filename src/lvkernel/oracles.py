@@ -3,15 +3,17 @@ volatility for CEV, and a Crank-Nicolson finite-difference solver."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
 from .errors import DomainError, SingularMatrix
 from .grid import PriceCurve, SpatialGrid
-from .models import Model
-from .pricing import Payoff
+from .models import BSMModel, CEVModel, Model
+from .pricing import CallPayoff, Payoff
+from .pricing import ndtr as _norm_cdf  # the one standard normal CDF
 
 __all__ = [
     "bs_exact",
@@ -27,22 +29,19 @@ __all__ = [
 ArrayLike = Union[float, np.ndarray]
 
 
-def _norm_cdf(x: ArrayLike) -> ArrayLike:
-    """Cumulative standard normal via the complementary error function."""
-    from scipy.special import erfc
-
-    return 0.5 * erfc(-np.asarray(x, dtype=float) / np.sqrt(2.0))
-
-
 def _norm_pdf(x: ArrayLike) -> ArrayLike:
     x = np.asarray(x, dtype=float)
     return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
 
 
+def _finite_positive(*values: float) -> bool:
+    return all(math.isfinite(v) and v > 0.0 for v in values)
+
+
 def _bs_d1_d2(t: float, K: float, x: ArrayLike, sigma: ArrayLike, r: float):
-    bad_sigma = (sigma <= 0.0).any() if isinstance(sigma, np.ndarray) else sigma <= 0.0
-    if t <= 0.0 or K <= 0.0 or bad_sigma:
-        raise DomainError("bs_exact needs t > 0, K > 0, sigma > 0")
+    sigma_ok = np.all((sigma > 0.0) & (sigma < np.inf))  # an array from hagan_woodward_price
+    if not (_finite_positive(t, K) and sigma_ok and math.isfinite(r)):
+        raise DomainError("bs_exact needs finite t > 0, K > 0, sigma > 0 and r")
     xa = np.asarray(x, dtype=float)
     if np.any(xa <= 0.0):
         raise DomainError("bs_exact needs x > 0")
@@ -76,8 +75,8 @@ def bs_kernel(t: float, x: float, y: ArrayLike, sigma: float, r: float = 0.0) ->
     exp(-rt) / (y sqrt(2 pi sigma^2 t)) * exp(-(ln(x/y) + (r - sigma^2/2) t)^2
                                               / (2 sigma^2 t))
     """
-    if t <= 0.0 or sigma <= 0.0 or x <= 0.0:
-        raise DomainError("bs_kernel needs t, sigma, x > 0")
+    if not (_finite_positive(t, sigma, x) and math.isfinite(r)):
+        raise DomainError("bs_kernel needs finite t, sigma, x > 0 and r")
     ya = np.asarray(y, dtype=float)
     if np.any(ya <= 0.0):
         raise DomainError("bs_kernel needs y > 0")
@@ -97,8 +96,8 @@ def hagan_woodward_vol(t: float, K: float, s0: ArrayLike, sigma: float, beta: fl
     """
     if not (0.0 < beta < 1.0):
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
-    if t <= 0.0 or K <= 0.0 or sigma <= 0.0:
-        raise DomainError("hagan_woodward_vol needs t, K, sigma > 0")
+    if not (_finite_positive(t, K, sigma) and math.isfinite(r)):
+        raise DomainError("hagan_woodward_vol needs finite t, K, sigma > 0 and r")
     s0a = np.asarray(s0, dtype=float)
     if np.any(s0a <= 0.0):
         raise DomainError("hagan_woodward_vol needs s0 > 0")
@@ -133,8 +132,8 @@ class CNConfig:
     def __post_init__(self) -> None:
         if self.dt <= 0.0 or not np.isfinite(self.dt):
             raise DomainError("dt must be positive and finite")
-        if self.t_total < self.dt:
-            raise DomainError("t_total must be at least dt")
+        if not math.isfinite(self.t_total) or self.t_total < self.dt:
+            raise DomainError("t_total must be finite and at least dt")
 
     @property
     def n_steps(self) -> int:
@@ -238,7 +237,30 @@ def cn_solve(model: Model, config: CNConfig, payoff: Payoff) -> PriceCurve:
     return PriceCurve(xs, u)
 
 
-def _cn_reference(model: Model, grid: SpatialGrid, t: float, payoff: Payoff) -> PriceCurve:
-    """cn_solve to maturity t with the time step min(1e-3, t/200) that the CLI
-    and bootstrap_error_table use as their Crank-Nicolson oracle."""
-    return cn_solve(model, CNConfig(grid=grid, dt=min(1e-3, t / 200.0), t_total=t), payoff)
+def _reference(name: str, model: Model, payoff: Payoff,
+               grid: SpatialGrid) -> Callable[[float], np.ndarray]:
+    """The named oracle's prices at the grid nodes, as a function of maturity.
+
+    Raises DomainError, before anything is solved, for an unknown name or an
+    oracle that does not fit the model or the payoff.  cn runs cn_solve on
+    `grid` itself with dt = min(1e-3, t/200), so the grid's span and spacing
+    set its error: on 12:18:1 a BSM call (sigma=0.3, r=0.1, K=15, t=0.5)
+    reads 0 at x=12 and 3.06 at x=18, where bs_exact gives 0.323 and 3.97.
+    """
+    xs = grid.nodes
+    if name == "bs-exact":
+        if not isinstance(model, BSMModel):
+            raise DomainError("the bs-exact oracle needs a 'bsm' model")
+        if not isinstance(payoff, CallPayoff):
+            raise DomainError("the bs-exact oracle compares call payoffs only")
+        return lambda t: bs_exact(t, payoff.strike, xs, model.sigma, model.r)
+    if name == "hagan-woodward":
+        if not isinstance(model, CEVModel):
+            raise DomainError("the hagan-woodward oracle needs a 'cev' model")
+        if not isinstance(payoff, CallPayoff):
+            raise DomainError("the hagan-woodward oracle compares call payoffs only")
+        return lambda t: hagan_woodward_price(t, payoff.strike, xs, model.sigma,
+                                              model.alpha, model.r)
+    if name == "cn":
+        return lambda t: cn_solve(model, CNConfig(grid, min(1e-3, t / 200.0), t), payoff).values
+    raise DomainError(f"unknown oracle {name!r}")

@@ -212,12 +212,13 @@ def price_butterfly_closed(order: int, model: Model, t: float, payoff: Butterfly
 
 
 def price_quadrature(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike,
-                     grid: SpatialGrid, check: bool = True) -> ArrayLike:
+                     grid: SpatialGrid) -> ArrayLike:
     """Composite-Simpson approximation of int kernel(x, y) h(y) dy over the grid.
 
-    When ``check`` is true the value is recomputed on every second grid node;
-    a difference beyond 1e-6*(1+|value|) emits GridTooCoarseWarning (the
-    coarse comparison bounds the fine-grid quadrature error conservatively).
+    On an even interval count of at least 4 the value is recomputed on every
+    second grid node; a difference beyond 1e-6*(1+|value|) emits
+    GridTooCoarseWarning (the coarse comparison bounds the fine-grid
+    quadrature error conservatively).  Silence it with the warnings module.
     """
     y = grid.nodes
     w = grid.weights
@@ -226,7 +227,7 @@ def price_quadrature(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike,
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     k = kernel_eval(spec, t, xa[:, None], y[None, :])
     vals = k @ (w * hy)
-    if check and grid.n_intervals % 2 == 0 and grid.n_intervals >= 4:
+    if grid.n_intervals % 2 == 0 and grid.n_intervals >= 4:
         w2 = simpson_weights(grid.n_nodes // 2 + 1, 2.0 * grid.dx)
         coarse = k[:, ::2] @ (w2 * hy[::2])
         defect = np.max(np.abs(vals - coarse) - 1e-6 * (1.0 + np.abs(vals)))
@@ -241,13 +242,13 @@ def price_quadrature(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike,
 
 
 def price_curve(spec: KernelSpec, t: float, payoff: Payoff, grid: SpatialGrid,
-                method: str = "quadrature", check: bool = True) -> PriceCurve:
+                method: str = "quadrature") -> PriceCurve:
     """Price at every grid node, as a curve."""
     xs = grid.nodes
     if method == "closed":
         vals = _price_closed_dispatch(spec, t, payoff, xs)
     elif method == "quadrature":
-        vals = price_quadrature(spec, t, payoff, xs, grid, check=check)
+        vals = price_quadrature(spec, t, payoff, xs, grid)
     else:
         raise DomainError(f"unknown pricing method {method!r}")
     return PriceCurve(xs, np.asarray(vals, dtype=float))
@@ -273,8 +274,8 @@ def greeks(price_fn: Callable[[float, ArrayLike], ArrayLike], t: float, x: Array
     delta = (u(t, x+dx) - u(t, x-dx)) / (2 dx)
     gamma = (u(t, x+dx) + u(t, x-dx) - 2 u(t, x)) / dx^2
     """
-    if dx <= 0.0:
-        raise DomainError("dx must be positive")
+    if not (math.isfinite(dx) and dx > 0.0):
+        raise DomainError("dx must be positive and finite")
     if np.any(np.asarray(x) - dx <= 0.0):
         raise DomainError("greeks need x - dx > 0")
     up = price_fn(t, np.asarray(x) + dx)

@@ -77,11 +77,12 @@ class TestKernelMatrix:
             np.testing.assert_allclose(mat[i], row, rtol=1e-12, atol=0)
         np.testing.assert_allclose(mass, mat.sum(axis=1), rtol=0, atol=0)
 
-    def test_chunking_does_not_change_result(self):
+    def test_chunking_does_not_change_result(self, monkeypatch):
         spec = KernelSpec(MODEL, order=2)
         grid = SpatialGrid.regular(10.0, 0.5)
         full, _ = kernel_matrix(spec, 0.05, grid)
-        chunked, _ = kernel_matrix(spec, 0.05, grid, chunk_rows=7)
+        monkeypatch.setattr("lvkernel.bootstrap._CHUNK_ROWS", 7)
+        chunked, _ = kernel_matrix(spec, 0.05, grid)
         np.testing.assert_array_equal(full, chunked)
 
 
@@ -90,17 +91,16 @@ class TestBootstrapSolve:
         spec = KernelSpec(MODEL, order=2)
         grid = SpatialGrid.regular(40.0, 0.1)
         config = BootstrapConfig(spec, t_total=0.1, n_steps=1, grid=grid)
-        boot = bootstrap_solve(config, CallPayoff(STRIKE), check=False)
-        direct = price_quadrature(spec, 0.1, CallPayoff(STRIKE), grid.nodes, grid,
-                                  check=False)
+        boot = bootstrap_solve(config, CallPayoff(STRIKE))
+        direct = price_quadrature(spec, 0.1, CallPayoff(STRIKE), grid.nodes, grid)
         np.testing.assert_allclose(boot.values, direct, rtol=0, atol=0)
 
     def test_auto_single_step_is_plain_quadrature(self):
         spec = KernelSpec(MODEL, order=2)
         grid = SpatialGrid.regular(40.0, 0.1)
         config = BootstrapConfig(spec, t_total=0.1, n_steps=1, grid=grid)
-        boot = bootstrap_solve(config, CallPayoff(STRIKE), check=False)
-        direct = price_curve(spec, 0.1, CallPayoff(STRIKE), grid, check=False)
+        boot = bootstrap_solve(config, CallPayoff(STRIKE))
+        direct = price_curve(spec, 0.1, CallPayoff(STRIKE), grid)
         np.testing.assert_allclose(boot.values, direct.values, rtol=0, atol=0)
 
     def test_order_zero_composition_is_a_semigroup(self):
@@ -114,10 +114,10 @@ class TestBootstrapSolve:
         payoff = CallPayoff(20.0)
         one = bootstrap_solve(
             BootstrapConfig(spec, t_total=0.25, n_steps=1, grid=grid),
-            payoff, check=False)
+            payoff)
         five = bootstrap_solve(
             BootstrapConfig(spec, t_total=0.25, n_steps=5, grid=grid),
-            payoff, check=False)
+            payoff)
         mask = (grid.nodes >= 15.0) & (grid.nodes <= 25.0)
         diff = np.max(np.abs(one.values[mask] - five.values[mask]))
         assert diff < 1e-6
@@ -138,14 +138,6 @@ class TestMassDiagnostic:
         with warnings.catch_warnings():
             warnings.simplefilter("error", GridTooCoarseWarning)
             bootstrap_solve(config, CallPayoff(STRIKE))
-
-    def test_check_flag_suppresses_warning(self):
-        spec = KernelSpec(MODEL, order=2)
-        grid = SpatialGrid.regular(40.0, 1.0)
-        config = BootstrapConfig(spec, t_total=0.1, n_steps=10, grid=grid)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", GridTooCoarseWarning)
-            bootstrap_solve(config, CallPayoff(STRIKE), check=False)
 
 
 class TestLongMaturityBehavior:
@@ -239,13 +231,13 @@ class TestLongMaturityBehavior:
         for t in (3.0, 2.0):
             with pytest.warns(GridTooCoarseWarning):
                 rows += bootstrap_error_table(
-                    MODEL, STRIKE, 0.1, 0.5, [t], 10,
+                    MODEL, STRIKE, [t], 10,
                     SpatialGrid.regular(CONVERGED_X_MAX[t], 0.2))
         with warnings.catch_warnings():
             warnings.simplefilter("error", GridTooCoarseWarning)
             for t in (1.0, 0.5, 0.2, 0.1):
                 rows += bootstrap_error_table(
-                    MODEL, STRIKE, 0.1, 0.5, [t], 10,
+                    MODEL, STRIKE, [t], 10,
                     SpatialGrid.regular(CONVERGED_X_MAX[t], 0.1))
         failures = []
         for t, err in rows:
@@ -260,7 +252,7 @@ class TestLongMaturityBehavior:
 
     def test_error_decreases_toward_short_maturities(self):
         rows = dict(bootstrap_error_table(
-            MODEL, STRIKE, 0.1, 0.5, [1.0, 0.1], 10,
+            MODEL, STRIKE, [1.0, 0.1], 10,
             SpatialGrid.regular(200.0, 0.1)))
         assert rows[0.1] < rows[1.0]
 
@@ -269,26 +261,33 @@ class TestErrorTableOracles:
     def test_pde_oracle_smoke(self):
         model = CEVModel(sigma=0.3, alpha=2.0 / 3.0, r=0.1)
         grid = SpatialGrid.regular(30.0, 0.1)
-        rows = bootstrap_error_table(model, 15.0, 0.1, 0.3, [0.2], 4, grid,
+        rows = bootstrap_error_table(model, 15.0, [0.2], 4, grid,
                                      oracle="cn", window=(10.0, 20.0))
         (t, err), = rows
         assert t == 0.2
         assert 0.0 <= err < 1e-2
 
-    def test_callable_oracle_override(self):
-        grid = SpatialGrid.regular(40.0, 0.1)
-        times = [0.2]
+    def test_hagan_woodward_oracle(self):
+        model = CEVModel(sigma=0.3, alpha=2.0 / 3.0, r=0.1)
+        grid = SpatialGrid.regular(30.0, 0.1)
+        (t, err), = bootstrap_error_table(model, 15.0, [0.2], 4, grid,
+                                          oracle="hagan-woodward", window=(10.0, 20.0))
+        assert t == 0.2
+        assert 0.0 <= err < 1e-2
 
-        def oracle_fn(t, xs):
-            return bs_exact(t, STRIKE, xs, 0.5, 0.1)
+    def test_default_oracle_must_fit_the_model(self, monkeypatch):
+        # bs-exact reads sigma and r from the model, so it prices only the
+        # lognormal model, and a CEV model is rejected before any solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the oracle was checked")
 
-        default = bootstrap_error_table(MODEL, STRIKE, 0.1, 0.5, times, 4, grid)
-        override = bootstrap_error_table(MODEL, STRIKE, 0.1, 0.5, times, 4, grid,
-                                         oracle_fn=oracle_fn)
-        assert default == override
+        monkeypatch.setattr("lvkernel.bootstrap.bootstrap_solve", no_solve)
+        model = CEVModel(sigma=0.3, alpha=2.0 / 3.0, r=0.1)
+        with pytest.raises(DomainError, match="the bs-exact oracle needs a 'bsm' model"):
+            bootstrap_error_table(model, 15.0, [0.2], 4, SpatialGrid.regular(30.0, 0.1))
 
     def test_unknown_oracle_rejected(self):
         grid = SpatialGrid.regular(40.0, 0.1)
         with pytest.raises(DomainError):
-            bootstrap_error_table(MODEL, STRIKE, 0.1, 0.5, [0.2], 4, grid,
+            bootstrap_error_table(MODEL, STRIKE, [0.2], 4, grid,
                                   oracle="monte-carlo")

@@ -17,6 +17,7 @@ from lvkernel import (
     CEVModel,
     CNConfig,
     DomainError,
+    PutPayoff,
     SpatialGrid,
     bs_delta,
     bs_exact,
@@ -27,7 +28,7 @@ from lvkernel import (
     hagan_woodward_vol,
 )
 import lvkernel
-from lvkernel.oracles import _norm_cdf, _norm_pdf
+from lvkernel.oracles import _norm_cdf, _norm_pdf, _reference
 
 
 class TestNormalFunctions:
@@ -192,6 +193,64 @@ class TestHaganWoodward:
         assert np.max(np.abs(hw - curve.values[w])) < 1e-2
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteInputs:
+    """A NaN or infinite input raises instead of pricing to NaN or to a
+    limit (an infinite rate made bs_exact return the spot)."""
+
+    CASES = {
+        "bs_exact-inf-r": lambda: bs_exact(0.1, 15.0, 16.0, 0.3, INF),
+        "bs_exact-nan-t": lambda: bs_exact(NAN, 15.0, 16.0, 0.3, 0.1),
+        "bs_exact-nan-K": lambda: bs_exact(0.1, NAN, 16.0, 0.3, 0.1),
+        "bs_exact-nan-sigma": lambda: bs_exact(0.1, 15.0, 16.0, NAN, 0.1),
+        "bs_exact-inf-sigma-array": lambda: bs_exact(0.1, 15.0, np.array([16.0, 17.0]),
+                                                     np.array([0.3, INF])),
+        "bs_delta-nan-t": lambda: bs_delta(NAN, 15.0, 16.0, 0.3, 0.1),
+        "bs_gamma-nan-sigma": lambda: bs_gamma(0.1, 15.0, 16.0, NAN, 0.1),
+        "bs_kernel-nan-t": lambda: bs_kernel(NAN, 15.0, 14.0, 0.3, 0.1),
+        "bs_kernel-nan-sigma": lambda: bs_kernel(0.1, 15.0, 14.0, NAN, 0.1),
+        "bs_kernel-inf-x": lambda: bs_kernel(0.1, INF, 14.0, 0.3, 0.1),
+        "hagan_woodward-nan-t": lambda: hagan_woodward_price(NAN, 15.0, 16.0, 0.3, 0.5),
+        "hagan_woodward-inf-r": lambda: hagan_woodward_price(0.1, 15.0, 16.0, 0.3, 0.5, INF),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raises_domain_error(self, case):
+        with pytest.raises(DomainError):
+            self.CASES[case]()
+
+
+class TestReference:
+    """oracles._reference, the one oracle resolver of the CLI and the error
+    tables: every misfit raises before anything is solved."""
+
+    GRID = SpatialGrid.regular(30.0, 0.5)
+    CEV = CEVModel(sigma=0.3, alpha=2.0 / 3.0, r=0.1)
+
+    BSM = BSMModel(sigma=0.3, r=0.1)
+
+    @pytest.mark.parametrize("name, model, payoff, message", [
+        ("hagan-woodward", CEV, PutPayoff(15.0),
+         "the hagan-woodward oracle compares call payoffs only"),
+        ("hagan-woodward", BSM, CallPayoff(15.0), "the hagan-woodward oracle needs a 'cev' model"),
+        ("bs-exact", CEV, CallPayoff(15.0), "the bs-exact oracle needs a 'bsm' model"),
+        ("bs-exact", BSM, PutPayoff(15.0), "the bs-exact oracle compares call payoffs only"),
+        ("monte-carlo", CEV, CallPayoff(15.0), "unknown oracle 'monte-carlo'"),
+    ], ids=["hagan-woodward-put", "hagan-woodward-bsm", "bs-exact-cev", "bs-exact-put", "unknown"])
+    def test_misfit_raises(self, name, model, payoff, message):
+        with pytest.raises(DomainError) as info:
+            _reference(name, model, payoff, self.GRID)
+        assert str(info.value) == message
+
+    def test_cn_is_cn_solve_with_the_step_rule(self):
+        oracle = _reference("cn", self.CEV, PutPayoff(15.0), self.GRID)
+        want = cn_solve(self.CEV, CNConfig(self.GRID, dt=1e-3, t_total=0.5),
+                        PutPayoff(15.0))
+        np.testing.assert_array_equal(oracle(0.5), want.values)
+
+
 class TestCNConfig:
     def test_validation(self):
         grid = SpatialGrid.regular(10.0, 0.5)
@@ -201,6 +260,9 @@ class TestCNConfig:
             CNConfig(grid, dt=-0.1, t_total=1.0)
         with pytest.raises(DomainError):
             CNConfig(grid, dt=0.2, t_total=0.1)
+        for t_total in (NAN, INF):  # n_steps then raised ValueError or OverflowError
+            with pytest.raises(DomainError):
+                CNConfig(grid, dt=0.01, t_total=t_total)
 
     def test_step_count_rounds(self):
         grid = SpatialGrid.regular(10.0, 0.5)

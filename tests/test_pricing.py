@@ -191,7 +191,7 @@ class TestPutParity:
         t, K, x = 0.1, 15.0, 14.0
         spec = KernelSpec(model, order=order)
         grid = SpatialGrid.regular(60.0, 0.005)
-        quad = price_quadrature(spec, t, PutPayoff(K), x, grid, check=False)
+        quad = price_quadrature(spec, t, PutPayoff(K), x, grid)
         assert price_put(order, model, t, K, x) == pytest.approx(quad, abs=1e-5)
 
 
@@ -215,7 +215,7 @@ class TestButterflyPricing:
         t, x = 0.1, 20.0
         spec = KernelSpec(model, order=2)
         grid = SpatialGrid.regular(80.0, 0.005)
-        quad = price_quadrature(spec, t, payoff, x, grid, check=False)
+        quad = price_quadrature(spec, t, payoff, x, grid)
         closed = price_butterfly_closed(2, model, t, payoff, x)
         assert closed == pytest.approx(quad, abs=1e-5)
 
@@ -309,12 +309,15 @@ class TestQuadrature:
 
     def test_matches_closed_form(self):
         # x_min = 0.02 puts the payoff kink at K = 15 on a Simpson panel
-        # boundary, so the quadrature error is pure truncation
+        # boundary, so the quadrature error is pure truncation; on the half
+        # grid of the self-check the kink falls inside a panel, which reads a
+        # defect of 1.7e-05 and warns
         model = BSMModel(sigma=0.3, r=0.1)
         t, K, x = 0.1, 15.0, 15.0
         spec = KernelSpec(model, order=1)
         grid = SpatialGrid(0.02, 200.0, 0.01)
-        quad = price_quadrature(spec, t, CallPayoff(K), x, grid, check=False)
+        with pytest.warns(GridTooCoarseWarning, match="coarse-grid defect"):
+            quad = price_quadrature(spec, t, CallPayoff(K), x, grid)
         assert quad == pytest.approx(price_call_closed(1, model, t, K, x), abs=1e-6)
 
     def test_coarse_grid_warns(self):
@@ -336,11 +339,9 @@ class TestQuadrature:
         model = BSMModel(sigma=0.3, r=0.1)
         spec = KernelSpec(model, order=1)
         grid = SpatialGrid.regular(40.0, 0.05)
-        scalar = price_quadrature(spec, 0.1, CallPayoff(15.0), 15.0, grid, check=False)
+        scalar = price_quadrature(spec, 0.1, CallPayoff(15.0), 15.0, grid)
         assert isinstance(scalar, float)
-        arr = price_quadrature(
-            spec, 0.1, CallPayoff(15.0), np.array([14.0, 15.0]), grid, check=False
-        )
+        arr = price_quadrature(spec, 0.1, CallPayoff(15.0), np.array([14.0, 15.0]), grid)
         assert isinstance(arr, np.ndarray) and arr.shape == (2,)
 
     def test_closed_matches_quadrature_randomized(self):
@@ -361,7 +362,7 @@ class TestQuadrature:
             grid = SpatialGrid.regular(float(math.ceil(20.0 * K)), 0.005)
             spec = KernelSpec(model, order=order)
             closed = price_call_closed(order, model, t, K, x)
-            quad = price_quadrature(spec, t, CallPayoff(K), x, grid, check=False)
+            quad = price_quadrature(spec, t, CallPayoff(K), x, grid)
             assert closed == pytest.approx(quad, abs=1e-5 * (1.0 + abs(closed))), (
                 f"draw {k}: model={model}, order={order}, t={t}, K={K}, x={x}"
             )
@@ -374,7 +375,7 @@ class TestPriceCurve:
         grid = SpatialGrid.regular(60.0, 0.05)
         closed = price_curve(spec, 0.1, CallPayoff(15.0), grid, method="closed")
         mask = (grid.nodes > 5.0) & (grid.nodes < 30.0)
-        quad = price_curve(spec, 0.1, CallPayoff(15.0), grid, check=False)
+        quad = price_curve(spec, 0.1, CallPayoff(15.0), grid)
         assert np.max(np.abs(closed.values[mask] - quad.values[mask])) < 5e-4
 
     def test_unknown_method_rejected(self):
@@ -411,6 +412,8 @@ class TestGreeks:
         fn = lambda t, x: np.asarray(x)
         with pytest.raises(DomainError):
             greeks(fn, 0.1, 5.0, 0.0)
+        with pytest.raises(DomainError):
+            greeks(fn, 0.1, 15.0, float("nan"))
         with pytest.raises(DomainError):
             greeks(fn, 0.1, 0.05, 0.1)
 
