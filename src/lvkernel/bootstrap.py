@@ -162,7 +162,8 @@ def bootstrap_error_table(model: Model, strike: float, times: Sequence[float],
     For each maturity in `times`, runs bootstrap_solve for a call struck at
     `strike` and reports the largest absolute deviation from the named oracle
     (see oracles._reference, which checks that it fits the model before any
-    solve) over the grid nodes x with window[0] < x <= window[1].
+    solve) over the grid nodes x with window[0] < x <= window[1].  The
+    window must end inside the grid, where the composition keeps its mass.
     """
     # imported here: at module level it reorders the package import, which cost
     # a fresh process about 3,400 more minor page faults and 50 ms of set-up
@@ -170,6 +171,9 @@ def bootstrap_error_table(model: Model, strike: float, times: Sequence[float],
 
     payoff = CallPayoff(strike)
     oracle_at = _reference(oracle, model, payoff, grid)
+    if window[1] > grid.x_max:
+        raise DomainError(f"error window ends at {window[1]:g}, past the grid's "
+                          f"x_max {grid.x_max:g}")
     spec = KernelSpec(model=model, order=order, basepoint=basepoint)
     xs = grid.nodes
     mask = (xs > window[0]) & (xs <= window[1])

@@ -1,13 +1,12 @@
 """Command-line front end: prices, kernel values, Greeks, bootstrap runs,
-and oracle comparison tables, written as deterministic CSV/JSON artifacts."""
+and oracle comparison tables, written as deterministic CSV (a single-spot
+price is one bare number)."""
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -16,7 +15,7 @@ from .bootstrap import BootstrapConfig, bootstrap_solve
 from .errors import DegenerateCoefficient, DomainError
 from .grid import SpatialGrid
 from .kernel import KernelSpec, kernel_eval
-from .models import BasepointRule, Model, model_from_dict
+from .models import BasepointRule, Model, model_from_file, model_from_json
 from .oracles import _reference
 from .pricing import (
     ButterflyPayoff,
@@ -29,7 +28,7 @@ from .pricing import (
     price_curve,
 )
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["main"]
 
 
 class UsageError(Exception):
@@ -39,48 +38,6 @@ class UsageError(Exception):
 def _fmt(v: float) -> str:
     """17 significant digits: lossless text round-trip for doubles."""
     return format(float(v), ".17g")
-
-
-# ---------------------------------------------------------------------------
-# run configuration
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything needed to reproduce one CLI invocation byte-for-byte.
-
-    The model is stored as its resolved JSON object, so a config round-trips
-    through to_json/from_json without the original --model-file present.
-    """
-
-    command: str
-    model: dict
-    params: dict = field(default_factory=dict)
-    out: Optional[str] = None
-
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "model": self.model,
-            "params": self.params,
-            "out": self.out,
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"bad run-config JSON: {exc}") from exc
-        if not isinstance(payload, dict) or "command" not in payload:
-            raise UsageError("run-config JSON must be an object with a 'command' key")
-        return cls(
-            command=payload["command"],
-            model=payload.get("model") or {},
-            params=payload.get("params") or {},
-            out=payload.get("out"),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -132,28 +89,10 @@ def _build_parser() -> argparse.ArgumentParser:
         g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--model-file", help="path to a model JSON file")
         g.add_argument("--model", help="inline model JSON object")
-        p.add_argument("--out", help="artifact path (.csv or .json); default stdout")
+        p.add_argument("--out", help="artifact path (CSV, or one number for price --spot); default stdout")
         for flag in flags.split():
             p.add_argument(flag, **_FLAGS.get(f"{command} {flag}", _FLAGS[flag]))
     return parser
-
-
-def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
-    if ns.model_file is not None:
-        with open(ns.model_file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = ns.model
-    try:
-        model_obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"bad model JSON: {exc}") from exc
-    if not isinstance(model_obj, dict):
-        raise UsageError("model JSON must be an object")
-    # a subcommand's namespace is the shared flags plus its own params
-    params = {k: v for k, v in vars(ns).items()
-              if k not in ("command", "model", "model_file", "out")}
-    return RunConfig(command=ns.command, model=model_obj, params=params, out=ns.out)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +274,8 @@ def _run_compare(model: Model, params: dict) -> str:
 
 
 _PAYOFF_FLAGS = "--payoff --strike --k1 --k2"
-# subcommand: (runner, help, its flags in the order --help lists them)
+# subcommand: (runner of the model and the parsed flags, help, its flags in
+# the order --help lists them)
 _COMMANDS = {
     "price": (_run_price, "option prices, single spot or curve",
               f"--order --t {_PAYOFF_FLAGS} --spot --grid --basepoint --method"),
@@ -351,46 +291,32 @@ _COMMANDS = {
 
 
 # ---------------------------------------------------------------------------
-# entry points
+# entry point
 # ---------------------------------------------------------------------------
 
-def run(config: RunConfig) -> int:
-    """Execute a parsed configuration. Returns the process exit code."""
-    if config.command not in _COMMANDS:
-        print(f"unknown command {config.command!r}", file=sys.stderr)
-        return 2
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Parse argv, load the model, run the subcommand and write its artifact.
+    Returns 2 on a usage or model-loading error, 1 on a domain error."""
     try:
-        model = model_from_dict(config.model)
-    except (DomainError, DegenerateCoefficient) as exc:
+        ns = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code) if exc.code is not None else 0
+    try:
+        model = (model_from_file(ns.model_file) if ns.model_file is not None
+                 else model_from_json(ns.model))
+    except (OSError, DomainError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     try:
-        artifact = _COMMANDS[config.command][0](model, config.params)
+        artifact = _COMMANDS[ns.command][0](model, vars(ns))
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except (DomainError, DegenerateCoefficient) as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    _write_artifact(artifact, config.out)
+    _write_artifact(artifact, ns.out)
     return 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
-        config = _config_from_namespace(ns)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    return run(config)
 
 
 if __name__ == "__main__":

@@ -86,8 +86,10 @@ class BasepointRule(Enum):
 
 def basepoint(rule: BasepointRule, x: ArrayLike, y: ArrayLike) -> ArrayLike:
     """Basepoint z(x, y) for the given rule.  Every rule satisfies z(x,x)=x."""
-    if (np.asarray(x) <= 0.0).any() or (np.asarray(y) <= 0.0).any():
-        raise DomainError("basepoint requires x > 0 and y > 0")
+    # x and y apart: testing them broadcast together would build the block
+    for v in (np.asarray(x), np.asarray(y)):
+        if not ((v > 0.0) & (v < np.inf)).all():
+            raise DomainError("basepoint requires finite x > 0 and y > 0")
     if rule is BasepointRule.AT_X:
         return x
     if rule is BasepointRule.AT_Y:

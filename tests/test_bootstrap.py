@@ -286,6 +286,14 @@ class TestErrorTableOracles:
         with pytest.raises(DomainError, match="the bs-exact oracle needs a 'bsm' model"):
             bootstrap_error_table(model, 15.0, [0.2], 4, SpatialGrid.regular(30.0, 0.1))
 
+    def test_window_past_the_grid_rejected(self):
+        # past x_max the composition has lost the kernel mass, so the sup
+        # error would land on the grid's edge
+        model = CEVModel(sigma=0.3, alpha=2.0 / 3.0, r=0.1)
+        with pytest.raises(DomainError, match="past the grid's x_max 30"):
+            bootstrap_error_table(model, 15.0, [0.2], 4, SpatialGrid.regular(30.0, 0.1),
+                                  oracle="hagan-woodward")
+
     def test_unknown_oracle_rejected(self):
         grid = SpatialGrid.regular(40.0, 0.1)
         with pytest.raises(DomainError):

@@ -1,8 +1,6 @@
 """Command-line interface: flag validation, exit codes, CSV schemas, and
 artifact determinism."""
 
-import dataclasses
-import json
 import subprocess
 import sys
 
@@ -20,8 +18,11 @@ from lvkernel import (
     price_call_closed,
     price_curve,
     CallPayoff,
+    DomainError,
+    model_from_file,
+    model_from_json,
 )
-from lvkernel.cli import RunConfig, _build_parser, _config_from_namespace, main, run
+from lvkernel.cli import _COMMANDS, _FLAGS, main
 
 BSM_JSON = '{"kind": "bsm", "sigma": 0.3, "r": 0.1}'
 BSM = BSMModel(sigma=0.3, r=0.1)
@@ -145,6 +146,24 @@ class TestModelErrors:
         _, err = capsys.readouterr()
         assert rc == 2 and "JSON" in err
 
+    @pytest.mark.parametrize("flag, value, prefix", [
+        ("--model", "{not json", "model JSON is not valid JSON: "),
+        ("--model", "[1, 2]", "model definition must be a JSON object"),
+        ("--model-file", "absent.json", "[Errno 2] No such file or directory"),
+    ], ids=["not-json", "not-an-object", "missing-file"])
+    def test_unloadable_model_gets_the_loader_message(self, capsys, tmp_path,
+                                                      flag, value, prefix):
+        load = model_from_json
+        if flag == "--model-file":
+            value, load = str(tmp_path / value), model_from_file
+        with pytest.raises((DomainError, OSError)) as info:
+            load(value)
+        rc = main(["price", flag, value, "--order", "2", "--t", "0.1",
+                   "--payoff", "call", "--strike", "15", "--spot", "16"])
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (2, "", f"{info.value}\n")
+        assert err.startswith(prefix)
+
     def test_missing_model_group(self, capsys):
         rc = main(["price", "--order", "2", "--t", "0.1", "--payoff", "call",
                    "--strike", "15", "--spot", "16"])
@@ -179,66 +198,6 @@ class TestArtifacts:
         stdout, _ = capsys.readouterr()
         assert stdout == out.read_text()
 
-    def test_run_config_round_trip(self, tmp_path):
-        p1, p2 = tmp_path / "one.csv", tmp_path / "two.csv"
-        cfg = RunConfig(
-            command="price",
-            model=json.loads(BSM_JSON),
-            params={"order": 2, "t": 0.1, "payoff": "call", "strike": 15.0,
-                    "k1": None, "k2": None, "spot": None, "grid": "10:20:1",
-                    "basepoint": "atx", "method": "closed"},
-            out=str(p1),
-        )
-        assert run(cfg) == 0
-        clone = dataclasses.replace(RunConfig.from_json(cfg.to_json()), out=str(p2))
-        assert run(clone) == 0
-        assert p1.read_bytes() == p2.read_bytes()
-
-
-class TestRunConfigFromArgv:
-    """A run config built from any subcommand's argv replays main() byte for
-    byte after a JSON round trip, and its params are the subcommand's flags."""
-
-    CASES = {
-        "price": (["price", "--model", BSM_JSON, "--order", "2", "--t", "0.25", "--payoff",
-                   "call", "--strike", "15", "--grid", "10:20:0.5"],
-                  ["order", "t", "payoff", "strike", "k1", "k2", "spot", "grid",
-                   "basepoint", "method"]),
-        "kernel": (["kernel", "--model", '{"kind": "cev", "sigma": 0.3, "alpha": 0.667}',
-                    "--order", "2", "--t", "0.1", "--x", "15", "--grid", "12:18:0.1"],
-                   ["order", "t", "x", "grid", "basepoint"]),
-        "greeks": (["greeks", "--model", BSM_JSON, "--order", "2", "--t", "0.5", "--payoff",
-                    "call", "--strike", "20", "--grid", "10:30:0.5"],
-                   ["order", "t", "payoff", "strike", "k1", "k2", "spot", "grid", "dx",
-                    "basepoint", "method"]),
-        "bootstrap": (["bootstrap", "--model", '{"kind": "bsm", "sigma": 0.5, "r": 0.1}',
-                       "--order", "2", "--t", "1.0", "--steps", "10", "--xmax", "50", "--dx",
-                       "0.1", "--payoff", "call", "--strike", "20", "--compare-oracle",
-                       "bs-exact"],
-                      ["order", "t", "steps", "xmax", "dx", "payoff", "strike", "k1", "k2",
-                       "basepoint", "compare_oracle"]),
-        "compare": (["compare", "--model", BSM_JSON, "--oracle", "bs-exact", "--method",
-                     "order1", "--grid", "12:18:1", "--times", "0.01,0.05,0.1,0.2,0.5",
-                     "--strike", "15"],
-                    ["oracle", "method", "grid", "times", "strike", "steps", "basepoint"]),
-    }
-
-    @pytest.mark.parametrize("command", sorted(CASES))
-    def test_round_trip_replays_main(self, command, tmp_path, capsys):
-        argv, keys = self.CASES[command]
-        a, b = tmp_path / "main.csv", tmp_path / "run.csv"
-        cfg = _config_from_namespace(_build_parser().parse_args(argv + ["--out", str(a)]))
-        assert sorted(cfg.params) == sorted(keys)
-        assert main(argv + ["--out", str(a)]) == 0
-        assert run(dataclasses.replace(RunConfig.from_json(cfg.to_json()), out=str(b))) == 0
-        capsys.readouterr()
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_old_config_with_seed_still_loads(self):
-        cfg = RunConfig.from_json(json.dumps({"command": "price", "model": {}, "params": {},
-                                              "out": None, "seed": 7}))
-        assert cfg == RunConfig(command="price", model={})
-
 
 class TestKernelCommand:
     def test_values_match_library(self, capsys):
@@ -254,6 +213,13 @@ class TestKernelCommand:
         assert len(rows) == len(ys)
         for row, y, v in zip(rows, ys, want):
             assert row == [15.0, y, 0.1, 2.0, v]
+
+    def test_nonfinite_x_is_domain_error(self, capsys):
+        rc = main(["kernel", "--model", '{"kind": "bsm", "sigma": 0.3}', "--order", "2",
+                   "--t", "0.1", "--x", "nan", "--grid", "14:16:1", "--basepoint", "aty"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (1, "")
+        assert err == "basepoint requires finite x > 0 and y > 0\n"
 
 
 class TestGreeksCommand:
@@ -413,6 +379,17 @@ class TestOracleFitsBeforeSolve:
         rc = main(argv)
         out, err = capsys.readouterr()
         assert (rc, out, err) == (2, "", message)
+
+
+class TestFlagTable:
+    def test_every_flag_entry_is_used(self):
+        # a bare "--flag" key must be listed by some command, and a
+        # "command --flag" key by that command
+        listed = {command: flags.split() for command, (_, _, flags) in _COMMANDS.items()}
+        listed[""] = [flag for flags in listed.values() for flag in flags]
+        unused = [key for key in _FLAGS
+                  if key.rpartition(" ")[2] not in listed.get(key.rpartition(" ")[0], [])]
+        assert unused == []
 
 
 class TestModuleEntryPoint:

@@ -138,6 +138,16 @@ class TestBasepoint:
         with pytest.raises(DomainError):
             basepoint(BasepointRule.MIDPOINT, 1.0, 0.0)
 
+    @pytest.mark.parametrize("rule", list(BasepointRule))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_points(self, rule, bad):
+        # the point the rule does not read must be finite too
+        ys = np.array([14.0, 15.0, 16.0])
+        with pytest.raises(DomainError, match="finite x > 0 and y > 0"):
+            basepoint(rule, bad, ys)
+        with pytest.raises(DomainError, match="finite x > 0 and y > 0"):
+            basepoint(rule, np.array([[15.0], [bad]]), ys[None, :])
+
 
 class TestValidation:
     def test_nonpositive_sigma_rejected(self):
