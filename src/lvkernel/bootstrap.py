@@ -15,15 +15,9 @@ import numpy as np
 
 from .errors import DomainError, GridTooCoarseWarning
 from .grid import PriceCurve, SpatialGrid
-from .kernel import KernelSpec, kernel_eval
+from .kernel import KernelSpec, _hermite_coefficients, kernel_eval
 from .models import BasepointRule, Model
-from .pricing import (
-    ButterflyPayoff,
-    CallPayoff,
-    Payoff,
-    PutPayoff,
-    price_curve,
-)
+from .pricing import CallPayoff, Payoff, _why_no_closed_form, price_curve
 
 __all__ = [
     "BootstrapConfig",
@@ -102,9 +96,8 @@ def _mass_check(spec: KernelSpec, tau: float, grid: SpatialGrid,
             stacklevel=3,
         )
         return
-    expected = np.ones_like(xs)
-    if spec.order == 2:
-        expected = expected + jet.c * tau
+    # the kernel's mass is its h_0: 1, plus c tau at order 2
+    expected = np.broadcast_to(_hermite_coefficients(jet, tau, xs, xs, spec.order)[0], xs.shape)
     defect = np.max(np.abs(mass[gated] - expected[gated]))
     if defect > _MASS_TOL:
         warnings.warn(
@@ -113,14 +106,6 @@ def _mass_check(spec: KernelSpec, tau: float, grid: SpatialGrid,
             GridTooCoarseWarning,
             stacklevel=3,
         )
-
-
-def _closed_form_applies(payoff: Payoff, spec: KernelSpec) -> bool:
-    return (
-        isinstance(payoff, (CallPayoff, PutPayoff, ButterflyPayoff))
-        and spec.basepoint is BasepointRule.AT_X
-        and spec.order in (1, 2)
-    )
 
 
 def bootstrap_solve(config: BootstrapConfig, payoff: Payoff) -> PriceCurve:
@@ -141,7 +126,7 @@ def bootstrap_solve(config: BootstrapConfig, payoff: Payoff) -> PriceCurve:
     mat, mass = kernel_matrix(spec, tau, grid)
     _mass_check(spec, tau, grid, mass)
 
-    if _closed_form_applies(payoff, spec):
+    if _why_no_closed_form(spec, payoff) is None:
         u = price_curve(spec, tau, payoff, grid, method="closed").values.copy()
         hops = config.n_steps - 1
     else:

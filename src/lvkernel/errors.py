@@ -1,5 +1,13 @@
 """Exception and warning types shared across the package."""
 
+__all__ = [
+    "LVKernelError",
+    "DomainError",
+    "DegenerateCoefficient",
+    "SingularMatrix",
+    "GridTooCoarseWarning",
+]
+
 
 class LVKernelError(Exception):
     """Base class for all package-specific errors."""

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError
 from .models import BasepointRule, CoefficientJet, Model, basepoint
 
-__all__ = ["EXP_ARG_MAX", "KernelSpec", "kernel_eval"]
+__all__ = ["KernelSpec", "kernel_eval"]
 
 ArrayLike = Union[float, np.ndarray]
 

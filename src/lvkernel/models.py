@@ -272,7 +272,7 @@ def model_from_dict(obj: dict) -> Model:
 
     Expected shape: {"kind": "cev", "sigma": 0.3, "alpha": 0.6667, "r": 0.1}.
     Keys are lowercase: a model's dataclass fields, required unless they
-    have a default.  Unknown keys are rejected.
+    have a default, and their values JSON numbers.  Unknown keys are rejected.
     """
     if not isinstance(obj, dict):
         raise DomainError("model definition must be a JSON object")
@@ -293,6 +293,9 @@ def model_from_dict(obj: dict) -> Model:
     missing = required - keys
     if missing:
         raise DomainError(f"missing model keys for {kind!r}: {', '.join(sorted(missing))}")
+    for k in sorted(keys):
+        if isinstance(obj[k], bool) or not isinstance(obj[k], (int, float)):
+            raise DomainError(f"model key {k!r} must be a number, got {json.dumps(obj[k])}")
     return classes[kind](**{k: float(obj[k]) for k in keys})
 
 
@@ -306,4 +309,8 @@ def model_from_json(text: str) -> Model:
 
 def model_from_file(path: str) -> Model:
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"model file {path} is not UTF-8 text: {exc}") from None
+    return model_from_json(text)

@@ -7,14 +7,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.special import ndtr
 
 from .errors import DomainError, GridTooCoarseWarning
 from .grid import PriceCurve, SpatialGrid, simpson_weights
-from .kernel import KernelSpec, _he_to_power, _hermite_coefficients, kernel_eval
+from .kernel import EXP_ARG_MAX, KernelSpec, _he_to_power, _hermite_coefficients, kernel_eval
 from .models import BasepointRule, CoefficientJet, Model
 
 __all__ = [
@@ -37,6 +37,11 @@ ArrayLike = Union[float, np.ndarray]
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+def _check_strike(K: float) -> None:
+    if not math.isfinite(K) or K <= 0.0:
+        raise DomainError("strike must be positive")
+
+
 class Payoff:
     """Terminal condition h(y).  Subclasses are callable on scalars or arrays."""
 
@@ -49,8 +54,7 @@ class CallPayoff(Payoff):
     strike: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.strike) or self.strike <= 0.0:
-            raise DomainError("strike must be positive")
+        _check_strike(self.strike)
 
     def __call__(self, y: ArrayLike) -> ArrayLike:
         return np.maximum(np.asarray(y, dtype=float) - self.strike, 0.0)
@@ -61,8 +65,7 @@ class PutPayoff(Payoff):
     strike: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.strike) or self.strike <= 0.0:
-            raise DomainError("strike must be positive")
+        _check_strike(self.strike)
 
     def __call__(self, y: ArrayLike) -> ArrayLike:
         return np.maximum(self.strike - np.asarray(y, dtype=float), 0.0)
@@ -79,6 +82,7 @@ class ButterflyPayoff(Payoff):
     def __post_init__(self) -> None:
         if not (0.0 < self.k1 < self.k < self.k2):
             raise DomainError("butterfly strikes must satisfy 0 < k1 < k < k2")
+        _check_strike(self.k2)  # the ordering already bounds k1 and k
 
     @property
     def call_weights(self) -> tuple[float, float, float]:
@@ -124,8 +128,7 @@ def _check_quote(order: int, t: float, K: float) -> None:
         raise DomainError(f"price order must be 1 or 2, got {order}")
     if not math.isfinite(t) or t <= 0.0:
         raise DomainError(f"time must be positive and finite, got {t}")
-    if not math.isfinite(K) or K <= 0.0:
-        raise DomainError("strike must be positive")
+    _check_strike(K)
 
 
 def _spot(x: ArrayLike) -> ArrayLike:
@@ -160,7 +163,7 @@ def _calls(order: int, jet: CoefficientJet, t: float, strikes, x: ArrayLike) -> 
         # the other order made glibc trim and re-fault the heap on every call
         m = x - K
         q = m * m / (2.0 * s2)
-        expq = np.exp(-q) * (q <= 745.0)  # exactly 0 past exp's underflow
+        expq = np.exp(-q) * (q <= EXP_ARG_MAX)
         mu = m / s
         E = ndtr(mu)
         poly = bracket[-1]
@@ -254,17 +257,27 @@ def price_curve(spec: KernelSpec, t: float, payoff: Payoff, grid: SpatialGrid,
     return PriceCurve(xs, np.asarray(vals, dtype=float))
 
 
-def _price_closed_dispatch(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike) -> ArrayLike:
+def _why_no_closed_form(spec: KernelSpec, payoff: Payoff) -> Optional[str]:
+    """Why (spec, payoff) has no closed-form price, or None when it has one."""
     if spec.basepoint is not BasepointRule.AT_X:
-        raise DomainError("closed-form prices exist only for the z=x basepoint")
+        return "closed-form prices exist only for the z=x basepoint"
+    if not isinstance(payoff, (CallPayoff, PutPayoff, ButterflyPayoff)):
+        return "closed-form pricing supports call, put and butterfly payoffs"
+    if spec.order not in (1, 2):
+        return f"price order must be 1 or 2, got {spec.order}"
+    return None
+
+
+def _price_closed_dispatch(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike) -> ArrayLike:
+    reason = _why_no_closed_form(spec, payoff)
+    if reason is not None:
+        raise DomainError(reason)
     order = spec.order
     if isinstance(payoff, CallPayoff):
         return price_call_closed(order, spec.model, t, payoff.strike, x)
     if isinstance(payoff, PutPayoff):
         return price_put(order, spec.model, t, payoff.strike, x)
-    if isinstance(payoff, ButterflyPayoff):
-        return price_butterfly_closed(order, spec.model, t, payoff, x)
-    raise DomainError("closed-form pricing supports call, put and butterfly payoffs")
+    return price_butterfly_closed(order, spec.model, t, payoff, x)
 
 
 def greeks(price_fn: Callable[[float, ArrayLike], ArrayLike], t: float, x: ArrayLike,

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import CONVERGED_X_MAX, constant_coefficient_model
 from lvkernel import (
+    BasepointRule,
     BootstrapConfig,
     BSMModel,
     ButterflyPayoff,
@@ -16,6 +17,8 @@ from lvkernel import (
     DomainError,
     GridTooCoarseWarning,
     KernelSpec,
+    PutPayoff,
+    SampledPayoff,
     SpatialGrid,
     bootstrap_error_table,
     bootstrap_solve,
@@ -121,6 +124,37 @@ class TestBootstrapSolve:
         mask = (grid.nodes >= 15.0) & (grid.nodes <= 25.0)
         diff = np.max(np.abs(one.values[mask] - five.values[mask]))
         assert diff < 1e-6
+
+
+class TestFirstHop:
+    """With two or more sub-steps the first hop is the closed-form price
+    exactly when price_curve(method="closed") has one; otherwise the sampled
+    payoff takes one more matrix hop."""
+
+    PAYOFFS = {
+        "call": CallPayoff(15.0),
+        "put": PutPayoff(15.0),
+        "butterfly": ButterflyPayoff(12.0, 15.0, 18.0),
+        "sampled": SampledPayoff(np.linspace(1.0, 30.0, 30),
+                                 np.maximum(np.linspace(1.0, 30.0, 30) - 15.0, 0.0)),
+    }
+
+    @pytest.mark.parametrize("rule", [BasepointRule.AT_X, BasepointRule.AT_Y], ids=["atx", "aty"])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("payoff", sorted(PAYOFFS))
+    def test_closed_form_first_hop_exactly_when_one_exists(self, payoff, order, rule):
+        payoff = self.PAYOFFS[payoff]
+        spec = KernelSpec(BSMModel(sigma=0.3, r=0.1), order=order, basepoint=rule)
+        grid = SpatialGrid.regular(30.0, 0.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridTooCoarseWarning)
+            boot = bootstrap_solve(BootstrapConfig(spec, t_total=0.2, n_steps=2, grid=grid), payoff)
+        mat, _ = kernel_matrix(spec, 0.1, grid)
+        try:
+            first = price_curve(spec, 0.1, payoff, grid, method="closed").values
+        except DomainError:
+            first = mat @ payoff(grid.nodes)
+        assert np.array_equal(boot.values, mat @ first)
 
 
 class TestMassDiagnostic:

@@ -1,12 +1,14 @@
 """Command-line interface: flag validation, exit codes, CSV schemas, and
 artifact determinism."""
 
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import lvkernel
 from lvkernel import (
     BSMModel,
     KernelSpec,
@@ -163,6 +165,26 @@ class TestModelErrors:
         out, err = capsys.readouterr()
         assert (rc, out, err) == (2, "", f"{info.value}\n")
         assert err.startswith(prefix)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"kind": "bsm", "sigma": "abc"}', "model key 'sigma' must be a number, got \"abc\""),
+        ('{"kind": "bsm", "sigma": null}', "model key 'sigma' must be a number, got null"),
+        ('{"kind": "bsm", "sigma": [0.3]}', "model key 'sigma' must be a number, got [0.3]"),
+        ('{"kind": "bsm", "sigma": true}', "model key 'sigma' must be a number, got true"),
+        (None, "is not UTF-8 text"),
+    ], ids=["string", "null", "list", "bool", "not-utf8"])
+    def test_non_numeric_model_value_is_a_usage_error(self, capsys, tmp_path, text, message):
+        if text is None:
+            path = tmp_path / "model.json"
+            path.write_bytes(b'{"kind": "bsm", "sigma": 0.3\xff}')
+            source = ["--model-file", str(path)]
+        else:
+            source = ["--model", text]
+        rc = main(["price", *source, "--order", "2", "--t", "0.1",
+                   "--payoff", "call", "--strike", "15", "--spot", "16"])
+        out, err = capsys.readouterr()
+        assert (rc, out, err.count("\n")) == (2, "", 1)
+        assert message in err
 
     def test_missing_model_group(self, capsys):
         rc = main(["price", "--order", "2", "--t", "0.1", "--payoff", "call",
@@ -394,11 +416,12 @@ class TestFlagTable:
 
 class TestModuleEntryPoint:
     def test_subprocess_smoke(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lvkernel.__file__)))
         proc = subprocess.run(
             [sys.executable, "-m", "lvkernel.cli", "price", "--model", BSM_JSON,
              "--order", "2", "--t", "0.1", "--payoff", "call", "--strike", "15",
              "--spot", "16"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
         )
         assert proc.returncode == 0, proc.stderr
         assert float(proc.stdout) == pytest.approx(

@@ -68,6 +68,10 @@ class TestPayoffs:
         with pytest.raises(DomainError):
             ButterflyPayoff(0.0, 1.0, 2.0)
 
+    def test_butterfly_rejects_infinite_strike(self):
+        with pytest.raises(DomainError, match="strike must be positive"):
+            ButterflyPayoff(10.0, 15.0, np.inf)
+
     def test_sampled_payoff_interpolates(self):
         payoff = SampledPayoff(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 0.0]))
         assert payoff(0.5) == pytest.approx(1.0)

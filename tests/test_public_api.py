@@ -15,8 +15,7 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(lvkernel.__path__))
 def test_star_import_resolves(module):
     namespace = {}
     exec(f"from lvkernel.{module} import *", namespace)
-    # a module without __all__ (errors) exports its public names
-    exported = getattr(importlib.import_module(f"lvkernel.{module}"), "__all__", [])
+    exported = importlib.import_module(f"lvkernel.{module}").__all__
     assert len(set(exported)) == len(exported)
     assert set(exported) <= set(namespace)
 
