@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, GridTooCoarseWarning
 from .grid import PriceCurve, SpatialGrid
-from .kernel import KernelSpec, _hermite_coefficients, kernel_eval
+from .kernel import KernelSpec, _hermite_coefficients, _kernel_rows
 from .models import BasepointRule, Model
 from .pricing import CallPayoff, Payoff, _why_no_closed_form, price_curve
 
@@ -26,7 +26,6 @@ __all__ = [
     "bootstrap_error_table",
 ]
 
-_CHUNK_ROWS = 64
 _MASS_TOL = 1e-4
 
 
@@ -55,19 +54,13 @@ def kernel_matrix(spec: KernelSpec, tau: float,
                   grid: SpatialGrid) -> Tuple[np.ndarray, np.ndarray]:
     """Dense propagation matrix M[i, j] = G_tau(x_i, y_j) w_j and its row sums.
 
-    Built in chunks of _CHUNK_ROWS rows to bound temporaries.  The row sums
-    approximate the kernel mass integral and feed the coarseness diagnostic.
+    The row sums approximate the kernel mass integral and feed the coarseness
+    diagnostic.
     """
-    xs = grid.nodes
-    w = grid.weights
-    n = xs.size
-    mat = np.empty((n, n), dtype=float)
-    for start in range(0, n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n)
-        rows = kernel_eval(spec, tau, xs[start:stop, None], xs[None, :])
-        np.multiply(rows, w[None, :], out=mat[start:stop])
-    mass = mat.sum(axis=1)
-    return mat, mass
+    mat = np.empty((grid.n_nodes, grid.n_nodes))
+    for rows, k in _kernel_rows(spec, tau, grid.nodes, grid.nodes):
+        np.multiply(k, grid.weights, out=mat[rows])
+    return mat, mat.sum(axis=1)
 
 
 def _mass_check(spec: KernelSpec, tau: float, grid: SpatialGrid,

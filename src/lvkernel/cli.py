@@ -99,6 +99,14 @@ def _build_parser() -> argparse.ArgumentParser:
 # shared pieces
 # ---------------------------------------------------------------------------
 
+def _grid(x_min: float, x_max: float, dx: float) -> SpatialGrid:
+    """The grid of --grid or of --xmax and --dx, a bad one being a usage error."""
+    try:
+        return SpatialGrid(x_min=x_min, x_max=x_max, dx=dx)
+    except DomainError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _parse_grid(text: str) -> SpatialGrid:
     parts = text.split(":")
     if len(parts) != 3:
@@ -107,10 +115,7 @@ def _parse_grid(text: str) -> SpatialGrid:
         lo, hi, dx = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"grid must be numeric xmin:xmax:dx, got {text!r}") from exc
-    try:
-        return SpatialGrid(x_min=lo, x_max=hi, dx=dx)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
+    return _grid(lo, hi, dx)
 
 
 def _parse_times(text: str) -> List[float]:
@@ -237,7 +242,7 @@ def _run_bootstrap(model: Model, params: dict) -> str:
     t = params["t"]
     payoff = _payoff_from_params(params)
     basepoint = BasepointRule.parse(params["basepoint"])
-    grid = SpatialGrid.regular(params["xmax"], params["dx"])
+    grid = _grid(params["dx"], params["xmax"], params["dx"])  # SpatialGrid.regular
     spec = KernelSpec(model=model, order=order, basepoint=basepoint)
     config = BootstrapConfig(spec=spec, t_total=t, n_steps=params["steps"],
                              grid=grid)

@@ -27,6 +27,8 @@ ArrayLike = Union[float, np.ndarray]
 # exp(-q) underflows double precision past this; the kernel is defined to be
 # exactly zero there rather than subnormal noise
 EXP_ARG_MAX = 745.0
+# rows of an (x, y) block evaluated at once: bounds the block-sized temporaries
+_CHUNK_ROWS = 64
 
 # the probabilists' Hermite polynomials He_k(u) = sum_j _HERMITE[k][j] * u**(k - 2j)
 _HERMITE = tuple(tuple((-1) ** j * factorial(k) // (factorial(j) * factorial(k - 2 * j) * 2**j)
@@ -153,3 +155,11 @@ def kernel_eval(spec: KernelSpec, t: float, x: ArrayLike, y: ArrayLike) -> Array
     """Evaluate the order-n kernel with the basepoint rule of ``spec``."""
     z = basepoint(spec.basepoint, x, y)
     return _kernel(spec.model.jet(z), t, x, y, z, spec.order)
+
+
+def _kernel_rows(spec: KernelSpec, t: float, x: np.ndarray, y: np.ndarray):
+    """The block kernel_eval(spec, t, x[:, None], y[None, :]) for 1-D x and y,
+    as (row slice, rows) pairs of _CHUNK_ROWS rows each."""
+    for start in range(0, x.size, _CHUNK_ROWS):
+        rows = slice(start, min(start + _CHUNK_ROWS, x.size))
+        yield rows, kernel_eval(spec, t, x[rows, None], y[None, :])

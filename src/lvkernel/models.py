@@ -6,7 +6,10 @@ A model is a provider of the jet of the operator coefficients
 
 evaluated at (t=0, z).  The jet is the only thing the kernel formulas ever
 see; the full coefficient functions are additionally exposed for the PDE
-reference solver.
+reference solver.  The built-in models are one power-law family,
+a(t,x) = (sigma + sigma_dot0 t) x^alpha, b = r x, c = -r, 0 < alpha <= 1, of
+which BSMModel fixes alpha = 1 and sigma_dot0 = 0, TimeDependentBSMModel
+alpha = 1 and CEVModel sigma_dot0 = 0; CustomModel takes any jet.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -38,9 +42,6 @@ __all__ = [
 
 ArrayLike = Union[float, np.ndarray]
 
-_JET_FIELDS = ("a", "da_dx", "d2a_dx2", "da_dt", "b", "db_dx", "c")
-
-
 @dataclass(frozen=True)
 class CoefficientJet:
     """Values of a, a', a'', da/dt, b, b', c at (t=0, z).
@@ -58,8 +59,7 @@ class CoefficientJet:
     c: ArrayLike
 
     def validate(self) -> "CoefficientJet":
-        for name in _JET_FIELDS:
-            v = getattr(self, name)
+        for name, v in vars(self).items():
             if not (math.isfinite(v) if isinstance(v, (float, int)) else np.isfinite(v).all()):
                 raise DegenerateCoefficient(f"jet field {name} is not finite")
         a = self.a
@@ -129,51 +129,71 @@ class Model(ABC):
         return False
 
 
-def _check_sigma(sigma: float) -> float:
-    sigma = float(sigma)
-    if not np.isfinite(sigma) or sigma <= 0.0:
-        raise DomainError(f"sigma must be positive and finite, got {sigma}")
-    return sigma
+def _pow(z: ArrayLike, e: float) -> ArrayLike:
+    """z**e, inf where that overflows: a float raises there, an array gives inf."""
+    try:
+        return z**e
+    except OverflowError:
+        return math.inf
 
 
-def _check_rate(r: float) -> float:
-    r = float(r)
-    if not np.isfinite(r):
-        raise DomainError("interest rate must be finite")
-    return r
+class _PowerLaw(Model):
+    """The power-law family.  A subclass declares its parameters as dataclass
+    fields; one it lacks keeps its lognormal value, alpha = 1 or sigma_dot0 = 0."""
+
+    @cached_property
+    def _params(self) -> tuple[float, float, float, float]:  # sigma, sigma_dot0, alpha, r
+        p = vars(self)
+        return p["sigma"], p.get("sigma_dot0", 0.0), p.get("alpha", 1.0), p["r"]
+
+    def __post_init__(self) -> None:
+        sigma, sigma_dot0, alpha, r = self._params
+        sigma = float(sigma)
+        if not np.isfinite(sigma) or sigma <= 0.0:
+            raise DomainError(f"sigma must be positive and finite, got {sigma}")
+        if not np.isfinite(float(r)):
+            raise DomainError("interest rate must be finite")
+        if not np.isfinite(sigma_dot0):
+            raise DomainError("sigma_dot0 must be finite")
+        if not np.isfinite(alpha) or not (0.0 < alpha <= 1.0):
+            raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+
+    def jet(self, z: ArrayLike) -> CoefficientJet:
+        z = _check_z(z)
+        sigma, sigma_dot0, alpha, r = self._params
+        zero = np.zeros_like(z) if isinstance(z, np.ndarray) else 0.0
+        if alpha == 1.0:  # no z**(alpha - 2) = 1/z here: it overflows for tiny z
+            z_alpha, da_dx, d2a_dx2 = z, sigma + zero, zero
+        else:
+            z_alpha = z**alpha
+            da_dx = alpha * sigma * _pow(z, alpha - 1.0)
+            d2a_dx2 = alpha * (alpha - 1.0) * sigma * _pow(z, alpha - 2.0)
+        # da_dt = 0 shares zero: one more block-sized array re-faults the heap
+        return CoefficientJet(a=sigma * z_alpha, da_dx=da_dx, d2a_dx2=d2a_dx2,
+                              da_dt=sigma_dot0 * z_alpha if sigma_dot0 else zero,
+                              b=r * z, db_dx=r + zero, c=-r + zero).validate()
+
+    def coefficients(self, t: float, x: ArrayLike):
+        sigma, sigma_dot0, alpha, r = self._params
+        x = np.asarray(x, dtype=float)
+        return (sigma + sigma_dot0 * t) * x**alpha, r * x, -r
+
+    @property
+    def is_time_dependent(self) -> bool:
+        return self._params[1] != 0.0
 
 
 @dataclass(frozen=True)
-class BSMModel(Model):
+class BSMModel(_PowerLaw):
     """Lognormal model: a = sigma*x, risk-neutral drift b = r*x, c = -r."""
 
     sigma: float
     r: float = 0.0
     kind = "bsm"
 
-    def __post_init__(self) -> None:
-        _check_sigma(self.sigma)
-        _check_rate(self.r)
-
-    def jet(self, z: ArrayLike) -> CoefficientJet:
-        z = _check_z(z)
-        zero = np.zeros_like(z) if isinstance(z, np.ndarray) else 0.0
-        return CoefficientJet(
-            a=self.sigma * z,
-            da_dx=self.sigma + zero,
-            d2a_dx2=zero,
-            da_dt=zero,
-            b=self.r * z,
-            db_dx=self.r + zero,
-            c=-self.r + zero,
-        ).validate()
-
-    def coefficients(self, t: float, x: ArrayLike):
-        return self.sigma * np.asarray(x, dtype=float), self.r * np.asarray(x, dtype=float), -self.r
-
 
 @dataclass(frozen=True)
-class TimeDependentBSMModel(Model):
+class TimeDependentBSMModel(_PowerLaw):
     """Lognormal model with sigma(t); only sigma(0) and sigma'(0) enter the jet."""
 
     sigma: float
@@ -181,67 +201,15 @@ class TimeDependentBSMModel(Model):
     r: float = 0.0
     kind = "tdbsm"
 
-    def __post_init__(self) -> None:
-        _check_sigma(self.sigma)
-        _check_rate(self.r)
-        if not np.isfinite(self.sigma_dot0):
-            raise DomainError("sigma_dot0 must be finite")
-
-    def jet(self, z: ArrayLike) -> CoefficientJet:
-        z = _check_z(z)
-        zero = np.zeros_like(z) if isinstance(z, np.ndarray) else 0.0
-        return CoefficientJet(
-            a=self.sigma * z,
-            da_dx=self.sigma + zero,
-            d2a_dx2=zero,
-            da_dt=self.sigma_dot0 * z,
-            b=self.r * z,
-            db_dx=self.r + zero,
-            c=-self.r + zero,
-        ).validate()
-
-    def coefficients(self, t: float, x: ArrayLike):
-        x = np.asarray(x, dtype=float)
-        # linear-in-t volatility: all the model knows is sigma(0) and sigma'(0)
-        return (self.sigma + self.sigma_dot0 * t) * x, self.r * x, -self.r
-
-    @property
-    def is_time_dependent(self) -> bool:
-        return self.sigma_dot0 != 0.0
-
 
 @dataclass(frozen=True)
-class CEVModel(Model):
+class CEVModel(_PowerLaw):
     """Constant-elasticity-of-variance model: a = sigma*x**alpha, 0 < alpha <= 1."""
 
     sigma: float
     alpha: float
     r: float = 0.0
     kind = "cev"
-
-    def __post_init__(self) -> None:
-        _check_sigma(self.sigma)
-        _check_rate(self.r)
-        if not np.isfinite(self.alpha) or not (0.0 < self.alpha <= 1.0):
-            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
-
-    def jet(self, z: ArrayLike) -> CoefficientJet:
-        z = _check_z(z)
-        s, al = self.sigma, self.alpha
-        zero = np.zeros_like(z) if isinstance(z, np.ndarray) else 0.0
-        return CoefficientJet(
-            a=s * z**al,
-            da_dx=al * s * z ** (al - 1.0),
-            d2a_dx2=al * (al - 1.0) * s * z ** (al - 2.0),
-            da_dt=zero,
-            b=self.r * z,
-            db_dx=self.r + zero,
-            c=-self.r + zero,
-        ).validate()
-
-    def coefficients(self, t: float, x: ArrayLike):
-        x = np.asarray(x, dtype=float)
-        return self.sigma * x**self.alpha, self.r * x, -self.r
 
 
 @dataclass(frozen=True)
@@ -293,16 +261,21 @@ def model_from_dict(obj: dict) -> Model:
     missing = required - keys
     if missing:
         raise DomainError(f"missing model keys for {kind!r}: {', '.join(sorted(missing))}")
+    values = {}
     for k in sorted(keys):
         if isinstance(obj[k], bool) or not isinstance(obj[k], (int, float)):
             raise DomainError(f"model key {k!r} must be a number, got {json.dumps(obj[k])}")
-    return classes[kind](**{k: float(obj[k]) for k in keys})
+        try:
+            values[k] = float(obj[k])
+        except OverflowError:
+            raise DomainError(f"model key {k!r} is too large for a float") from None
+    return classes[kind](**values)
 
 
 def model_from_json(text: str) -> Model:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise DomainError(f"model JSON is not valid JSON: {exc}") from None
     return model_from_dict(obj)
 

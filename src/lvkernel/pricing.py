@@ -14,7 +14,7 @@ from scipy.special import ndtr
 
 from .errors import DomainError, GridTooCoarseWarning
 from .grid import PriceCurve, SpatialGrid, simpson_weights
-from .kernel import EXP_ARG_MAX, KernelSpec, _he_to_power, _hermite_coefficients, kernel_eval
+from .kernel import EXP_ARG_MAX, KernelSpec, _he_to_power, _hermite_coefficients, _kernel_rows
 from .models import BasepointRule, CoefficientJet, Model
 
 __all__ = [
@@ -224,15 +224,18 @@ def price_quadrature(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike,
     quadrature error conservatively).  Silence it with the warnings module.
     """
     y = grid.nodes
-    w = grid.weights
     hy = payoff(y)
+    wh = grid.weights * hy
+    wh2 = (simpson_weights(grid.n_nodes // 2 + 1, 2.0 * grid.dx) * hy[::2]
+           if grid.n_intervals % 2 == 0 and grid.n_intervals >= 4 else None)
     scalar = not isinstance(x, np.ndarray)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    k = kernel_eval(spec, t, xa[:, None], y[None, :])
-    vals = k @ (w * hy)
-    if grid.n_intervals % 2 == 0 and grid.n_intervals >= 4:
-        w2 = simpson_weights(grid.n_nodes // 2 + 1, 2.0 * grid.dx)
-        coarse = k[:, ::2] @ (w2 * hy[::2])
+    vals, coarse = np.empty(xa.size), np.empty(xa.size)
+    for rows, k in _kernel_rows(spec, t, xa, y):
+        vals[rows] = k @ wh
+        if wh2 is not None:
+            coarse[rows] = k[:, ::2] @ wh2
+    if wh2 is not None:
         defect = np.max(np.abs(vals - coarse) - 1e-6 * (1.0 + np.abs(vals)))
         if defect > 0.0:
             warnings.warn(

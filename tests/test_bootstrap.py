@@ -84,9 +84,11 @@ class TestKernelMatrix:
         spec = KernelSpec(MODEL, order=2)
         grid = SpatialGrid.regular(10.0, 0.5)
         full, _ = kernel_matrix(spec, 0.05, grid)
-        monkeypatch.setattr("lvkernel.bootstrap._CHUNK_ROWS", 7)
+        curve = price_curve(spec, 0.05, CallPayoff(STRIKE), grid).values
+        monkeypatch.setattr("lvkernel.kernel._CHUNK_ROWS", 7)
         chunked, _ = kernel_matrix(spec, 0.05, grid)
         np.testing.assert_array_equal(full, chunked)
+        np.testing.assert_array_equal(curve, price_curve(spec, 0.05, CallPayoff(STRIKE), grid).values)
 
 
 class TestBootstrapSolve:

@@ -119,6 +119,14 @@ class TestPriceCommand:
         _, err = capsys.readouterr()
         assert rc == 2 and "--grid" in err
 
+    def test_tiny_spot_is_a_domain_error(self, capsys):
+        # z**(alpha - 2) overflows a double at this spot
+        rc = main(["price", "--model", '{"kind": "cev", "sigma": 0.3, "alpha": 0.5}',
+                   "--order", "2", "--t", "0.1", "--payoff", "call", "--strike", "15",
+                   "--spot", "1e-250"])
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (1, "", "jet field d2a_dx2 is not finite\n")
+
     @pytest.mark.parametrize("grid", ["1:2", "a:b:c", "0:10:1"])
     def test_malformed_grid(self, capsys, grid):
         rc = main(["price", "--model", BSM_JSON, "--order", "2", "--t", "0.1",
@@ -185,6 +193,13 @@ class TestModelErrors:
         out, err = capsys.readouterr()
         assert (rc, out, err.count("\n")) == (2, "", 1)
         assert message in err
+
+    def test_integer_too_large_for_a_float_is_a_usage_error(self, capsys):
+        text = '{"kind": "bsm", "sigma": 1' + "0" * 399 + "}"
+        rc = main(["price", "--model", text, "--order", "2", "--t", "0.1",
+                   "--payoff", "call", "--strike", "15", "--spot", "16"])
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (2, "", "model key 'sigma' is too large for a float\n")
 
     def test_missing_model_group(self, capsys):
         rc = main(["price", "--order", "2", "--t", "0.1", "--payoff", "call",
@@ -315,6 +330,17 @@ class TestBootstrapCommand:
                    "--compare-oracle", "bs-exact"])
         _, err = capsys.readouterr()
         assert rc == 2 and "bsm" in err
+
+    def test_bad_grid_is_a_usage_error(self, capsys):
+        # --xmax/--dx get the exit code and message of price --grid
+        rc = main(["bootstrap", "--model", BSM_JSON, "--order", "2", "--t", "0.2",
+                   "--steps", "2", "--xmax", "20", "--dx", "0.3", "--payoff", "call",
+                   "--strike", "15", "--compare-oracle", "bs-exact"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert main(["price", "--model", BSM_JSON, "--order", "2", "--t", "0.2",
+                     "--payoff", "call", "--strike", "15", "--grid", "0.3:20:0.3"]) == 2
+        assert capsys.readouterr() == ("", err)
 
 
 class TestCompareCommand:

@@ -23,6 +23,16 @@ from lvkernel import (
 from lvkernel.models import _check_z
 
 
+# scalar and array spots down to a subnormal one, and two times
+FAMILY_SPOTS = [15.0, 1e-310, np.array([2.0, 10.0, 37.5]), np.array([1e-310, 1.0, 80.0])]
+FAMILY_TIMES = (0.0, 0.37)
+
+
+def _assert_coefficients_equal(got, want):
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
 class TestJetValues:
     def test_lognormal_jet(self):
         jet = BSMModel(sigma=0.3, r=0.1).jet(15.0)
@@ -35,11 +45,21 @@ class TestJetValues:
         assert jet.c == pytest.approx(-0.1)
 
     def test_time_dependent_jet_adds_volatility_slope(self):
-        jet = TimeDependentBSMModel(sigma=0.3, sigma_dot0=0.2, r=0.1).jet(15.0)
-        assert jet.da_dt == pytest.approx(0.2 * 15.0)
-        base = BSMModel(sigma=0.3, r=0.1).jet(15.0)
-        for name in ("a", "da_dx", "d2a_dx2", "b", "db_dx", "c"):
-            assert getattr(jet, name) == getattr(base, name)
+        model = TimeDependentBSMModel(sigma=0.3, sigma_dot0=0.2, r=0.1)
+        base = BSMModel(sigma=0.3, r=0.1)
+        flat = TimeDependentBSMModel(sigma=0.3, sigma_dot0=0.0, r=0.1)
+        for z in FAMILY_SPOTS:
+            jet = model.jet(z)
+            np.testing.assert_array_equal(jet.da_dt, 0.2 * np.asarray(z))
+            for name in ("a", "da_dx", "d2a_dx2", "b", "db_dx", "c"):
+                np.testing.assert_array_equal(getattr(jet, name), getattr(base.jet(z), name))
+            # a(t, x) = (sigma + sigma_dot0 t) x: the lognormal a at the volatility of time t
+            for t in FAMILY_TIMES:
+                moved = BSMModel(sigma=0.3 + 0.2 * t, r=0.1).coefficients(0.0, z)
+                _assert_coefficients_equal(model.coefficients(t, z), moved)
+                _assert_coefficients_equal(flat.coefficients(t, z), base.coefficients(t, z))
+        assert model.is_time_dependent
+        assert not flat.is_time_dependent and not base.is_time_dependent
 
     def test_power_law_jet(self):
         sigma, alpha, z = 0.3, 2.0 / 3.0, 15.0
@@ -52,13 +72,16 @@ class TestJetValues:
         assert jet.b == pytest.approx(0.1 * z)
 
     def test_power_law_with_unit_exponent_equals_lognormal(self):
-        z = np.array([2.0, 10.0, 37.5])
-        cev = CEVModel(sigma=0.4, alpha=1.0, r=0.07).jet(z)
-        bsm = BSMModel(sigma=0.4, r=0.07).jet(z)
-        for name in ("a", "da_dx", "d2a_dx2", "da_dt", "b", "db_dx", "c"):
-            np.testing.assert_allclose(
-                getattr(cev, name), getattr(bsm, name), rtol=0, atol=0
-            )
+        cev = CEVModel(sigma=0.4, alpha=1.0, r=0.07)
+        bsm = BSMModel(sigma=0.4, r=0.07)
+        for z in FAMILY_SPOTS:
+            for name in ("a", "da_dx", "d2a_dx2", "da_dt", "b", "db_dx", "c"):
+                got, want = getattr(cev.jet(z), name), getattr(bsm.jet(z), name)
+                assert type(got) is type(want)
+                np.testing.assert_array_equal(got, want)
+            for t in FAMILY_TIMES:
+                _assert_coefficients_equal(cev.coefficients(t, z), bsm.coefficients(t, z))
+        assert not cev.is_time_dependent and not bsm.is_time_dependent
 
     def test_jet_accepts_arrays(self):
         z = np.array([1.0, 2.0, 4.0])
@@ -240,6 +263,13 @@ class TestJetChecks:
         with pytest.raises(DomainError):
             BSMModel(sigma=0.3).jet(z)
 
+    @pytest.mark.parametrize("z", [1e-250, np.array([1e-250, 15.0])], ids=["scalar", "array"])
+    def test_overflowing_power_is_degenerate(self, z):
+        # z**(alpha - 2) overflows a double at this spot, for a float as for an array
+        with pytest.raises(DegenerateCoefficient, match="jet field d2a_dx2 is not finite"):
+            with np.errstate(over="ignore"):
+                CEVModel(sigma=0.3, alpha=0.5).jet(z)
+
     def test_check_z_keeps_the_input_kind(self):
         assert type(_check_z(3)) is float
         assert type(_check_z(np.float64(3.0))) is float
@@ -314,6 +344,15 @@ class TestJsonLoading:
     def test_custom_kind_rejected(self):
         with pytest.raises(DomainError):
             model_from_dict({"kind": "custom"})
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_integer_too_large_for_a_float_rejected(self, digits):
+        text = '{"kind": "bsm", "sigma": 1' + "0" * (digits - 1) + "}"
+        with pytest.raises(DomainError) as info:
+            model_from_json(text)
+        assert "\n" not in str(info.value)
+        if digits == 400:
+            assert str(info.value) == "model key 'sigma' is too large for a float"
 
     def test_non_object_rejected(self):
         with pytest.raises(DomainError):

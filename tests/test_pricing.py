@@ -1,6 +1,7 @@
 """Closed-form prices, quadrature pricing, parity and Greeks."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -338,6 +339,22 @@ class TestQuadrature:
         with warnings.catch_warnings():
             warnings.simplefilter("error", GridTooCoarseWarning)
             price_quadrature(spec, 0.1, CallPayoff(15.0), 15.0, grid)
+
+    def test_block_is_evaluated_in_row_chunks(self):
+        # evaluated whole, the midpoint rule's block-sized temporaries peak at
+        # 27 blocks; 64 rows at a time at 2.3, and kernel_matrix, which keeps
+        # its block, at 3.2
+        grid = SpatialGrid.regular(40.0, 0.05)
+        spec = KernelSpec(CEVModel(sigma=0.3, alpha=2.0 / 3.0, r=0.1), 2, BasepointRule.MIDPOINT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridTooCoarseWarning)
+            tracemalloc.start()
+            try:
+                price_curve(spec, 0.1, CallPayoff(15.0), grid, method="quadrature")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 6 * grid.n_nodes**2 * 8
 
     def test_scalar_and_array_returns(self):
         model = BSMModel(sigma=0.3, r=0.1)
