@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainError, GridTooCoarseWarning
 from .grid import PriceCurve, SpatialGrid
 from .kernel import KernelSpec, _hermite_coefficients, _kernel_rows
-from .models import BasepointRule, Model
+from .models import Model
 from .pricing import CallPayoff, Payoff, _why_no_closed_form, price_curve
 
 __all__ = [
@@ -132,16 +132,16 @@ def bootstrap_solve(config: BootstrapConfig, payoff: Payoff) -> PriceCurve:
 
 def bootstrap_error_table(model: Model, strike: float, times: Sequence[float],
                           n_steps: int, grid: SpatialGrid, oracle: str = "bs-exact",
-                          order: int = 2, basepoint: BasepointRule = BasepointRule.AT_X,
                           window: Tuple[float, float] = (0.0, 40.0),
                           ) -> List[Tuple[float, float]]:
     """Sup-norm call-price error of the composed scheme against an oracle.
 
-    For each maturity in `times`, runs bootstrap_solve for a call struck at
-    `strike` and reports the largest absolute deviation from the named oracle
-    (see oracles._reference, which checks that it fits the model before any
-    solve) over the grid nodes x with window[0] < x <= window[1].  The
-    window must end inside the grid, where the composition keeps its mass.
+    For each maturity in `times`, runs bootstrap_solve with KernelSpec(model),
+    order 2 at z = x, for a call struck at `strike` and reports the largest
+    absolute deviation from the named oracle (see oracles._reference, which
+    checks that it fits the model before any solve) over the grid nodes x
+    with window[0] < x <= window[1].  The window must end inside the grid,
+    where the composition keeps its mass.
     """
     # imported here: at module level it reorders the package import, which cost
     # a fresh process about 3,400 more minor page faults and 50 ms of set-up
@@ -152,7 +152,7 @@ def bootstrap_error_table(model: Model, strike: float, times: Sequence[float],
     if window[1] > grid.x_max:
         raise DomainError(f"error window ends at {window[1]:g}, past the grid's "
                           f"x_max {grid.x_max:g}")
-    spec = KernelSpec(model=model, order=order, basepoint=basepoint)
+    spec = KernelSpec(model)
     xs = grid.nodes
     mask = (xs > window[0]) & (xs <= window[1])
     out: List[Tuple[float, float]] = []

@@ -5,6 +5,7 @@ price is one bare number)."""
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Callable, List, Optional, Sequence
@@ -37,6 +38,8 @@ class UsageError(Exception):
 
 def _fmt(v: float) -> str:
     """17 significant digits: lossless text round-trip for doubles."""
+    if not math.isfinite(v):
+        raise DomainError(f"the result is not finite: {float(v)}")
     return format(float(v), ".17g")
 
 
@@ -49,7 +52,6 @@ def _fmt(v: float) -> str:
 # "command --flag".
 _FLAGS = {
     "--order": dict(type=int, required=True),
-    "kernel --order": dict(type=int, choices=[0, 1, 2], required=True),
     "bootstrap --order": dict(type=int, default=2),
     "--t": dict(type=float, required=True),
     "--payoff": dict(choices=["call", "put", "butterfly"], required=True),
@@ -99,10 +101,10 @@ def _build_parser() -> argparse.ArgumentParser:
 # shared pieces
 # ---------------------------------------------------------------------------
 
-def _grid(x_min: float, x_max: float, dx: float) -> SpatialGrid:
-    """The grid of --grid or of --xmax and --dx, a bad one being a usage error."""
+def _usage(build: Callable, *args):
+    """build(*args) on values from flags, its DomainError a usage error."""
     try:
-        return SpatialGrid(x_min=x_min, x_max=x_max, dx=dx)
+        return build(*args)
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -115,7 +117,7 @@ def _parse_grid(text: str) -> SpatialGrid:
         lo, hi, dx = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"grid must be numeric xmin:xmax:dx, got {text!r}") from exc
-    return _grid(lo, hi, dx)
+    return _usage(SpatialGrid, lo, hi, dx)
 
 
 def _parse_times(text: str) -> List[float]:
@@ -126,12 +128,6 @@ def _parse_times(text: str) -> List[float]:
     if not times:
         raise UsageError("--times must list at least one maturity")
     return times
-
-
-def _check_price_order(order: int) -> int:
-    if order not in (1, 2):
-        raise UsageError("order must be 1 or 2")
-    return order
 
 
 def _payoff_from_params(params: dict) -> Payoff:
@@ -149,15 +145,6 @@ def _payoff_from_params(params: dict) -> Payoff:
     if strike is None or k1 is None or k2 is None:
         raise UsageError("--payoff butterfly needs --k1, --strike, --k2")
     return ButterflyPayoff(k1, strike, k2)
-
-
-def _oracle(name: str, model: Model, payoff: Payoff,
-            grid: SpatialGrid) -> Callable[[float], np.ndarray]:
-    """oracles._reference, with a misfit reported as a usage error."""
-    try:
-        return _reference(name, model, payoff, grid)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _write_artifact(text: str, out: Optional[str]) -> None:
@@ -186,10 +173,8 @@ def _csv(header: str, rows: Sequence[Sequence[float]]) -> str:
 def _quote_prelude(model: Model, params: dict, command: str) -> tuple:
     """The kernel spec and payoff of price and greeks, their --spot (None
     with --grid) and their price curve on --grid (None with --spot)."""
-    order = _check_price_order(params["order"])
+    spec = _usage(KernelSpec, model, params["order"], BasepointRule(params["basepoint"]))
     payoff = _payoff_from_params(params)
-    basepoint = BasepointRule.parse(params["basepoint"])
-    spec = KernelSpec(model=model, order=order, basepoint=basepoint)
     spot, grid_text = params.get("spot"), params.get("grid")
     if (spot is None) == (grid_text is None):
         raise UsageError(f"{command} needs exactly one of --spot or --grid")
@@ -213,11 +198,9 @@ def _run_price(model: Model, params: dict) -> str:
 
 
 def _run_kernel(model: Model, params: dict) -> str:
-    basepoint = BasepointRule.parse(params["basepoint"])
-    spec = KernelSpec(model=model, order=params["order"], basepoint=basepoint)
+    spec = _usage(KernelSpec, model, params["order"], BasepointRule(params["basepoint"]))
     t, x = params["t"], params["x"]
-    grid = _parse_grid(params["grid"])
-    ys = grid.nodes
+    ys = _parse_grid(params["grid"]).nodes
     vals = kernel_eval(spec, t, x, ys)
     rows = [(x, y, t, params["order"], v) for y, v in zip(ys, vals)]
     return _csv("x,y,t,order,value", rows)
@@ -238,15 +221,13 @@ def _run_greeks(model: Model, params: dict) -> str:
 
 
 def _run_bootstrap(model: Model, params: dict) -> str:
-    order = _check_price_order(params["order"])
+    spec = _usage(KernelSpec, model, params["order"], BasepointRule(params["basepoint"]))
     t = params["t"]
     payoff = _payoff_from_params(params)
-    basepoint = BasepointRule.parse(params["basepoint"])
-    grid = _grid(params["dx"], params["xmax"], params["dx"])  # SpatialGrid.regular
-    spec = KernelSpec(model=model, order=order, basepoint=basepoint)
+    grid = _usage(SpatialGrid.regular, params["xmax"], params["dx"])
     config = BootstrapConfig(spec=spec, t_total=t, n_steps=params["steps"],
                              grid=grid)
-    oracle = _oracle(params["compare_oracle"], model, payoff, grid)
+    oracle = _usage(_reference, params["compare_oracle"], model, payoff, grid)
     curve = bootstrap_solve(config, payoff)
     ref = oracle(t)
     err = np.abs(curve.values - ref)
@@ -258,11 +239,10 @@ def _run_compare(model: Model, params: dict) -> str:
     method = params["method"]
     grid = _parse_grid(params["grid"])
     times = _parse_times(params["times"])
-    basepoint = BasepointRule.parse(params["basepoint"])
     payoff = CallPayoff(params["strike"])
-    oracle = _oracle(params["oracle"], model, payoff, grid)
-    order = 1 if method == "order1" else 2
-    spec = KernelSpec(model=model, order=order, basepoint=basepoint)
+    oracle = _usage(_reference, params["oracle"], model, payoff, grid)
+    spec = _usage(KernelSpec, model, 1 if method == "order1" else 2,
+                  BasepointRule(params["basepoint"]))
 
     rows = []
     for t in times:
@@ -272,8 +252,7 @@ def _run_compare(model: Model, params: dict) -> str:
             approx = bootstrap_solve(config, payoff).values
         else:
             approx = _price_closed_dispatch(spec, t, payoff, grid.nodes)
-        approx = np.broadcast_to(np.asarray(approx, dtype=float), grid.nodes.shape)
-        for x, a, o in zip(grid.nodes, approx, np.asarray(oracle(t), dtype=float)):
+        for x, a, o in zip(grid.nodes, approx, oracle(t)):
             rows.append((t, x, a, o, abs(a - o)))
     return _csv("t,x,approx,oracle,abs_error", rows)
 
@@ -313,7 +292,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     try:
-        artifact = _COMMANDS[ns.command][0](model, vars(ns))
+        # _fmt rejects a non-finite result, which NumPy's warnings would only repeat
+        with np.errstate(all="ignore"):
+            artifact = _COMMANDS[ns.command][0](model, vars(ns))
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2

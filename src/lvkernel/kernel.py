@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DegenerateCoefficient, DomainError
 from .models import BasepointRule, CoefficientJet, Model, basepoint
 
 __all__ = ["KernelSpec", "kernel_eval"]
@@ -116,7 +116,7 @@ def _coefficients(jet: CoefficientJet, t: float, x: ArrayLike, z: ArrayLike, ord
     """C_0..C_{3 order} of the order-n kernel G_0(d) sum_m C_m d^m, with the
     Gaussian's prefactor folded in: C_m = e_m s^-m / (s sqrt(2 pi)) for the
     powers e_m of the Hermite series."""
-    s = jet.a * sqrt(t)
+    s = jet.a * np.sqrt(t)  # a NumPy scalar: a width that underflows divides to inf
     c, scale = [], 1.0 / (s * sqrt(2.0 * pi))
     for em in _he_to_power(_hermite_coefficients(jet, t, x, z, order)):
         c.append(scale * em)
@@ -129,25 +129,31 @@ def _kernel(jet: CoefficientJet, t: float, x: ArrayLike, y: ArrayLike, z: ArrayL
     """G_0(d) sum_k C_k d^k, exactly 0 wherever q = d^2/(2 t a^2) > EXP_ARG_MAX.
 
     The polynomial is summed at d = 0 on those dead entries, so one that would
-    overflow there cannot leave 0*inf = nan behind.
+    overflow there cannot leave 0*inf = nan behind.  A width a sqrt(t) so small
+    that a C_k or 0.5/(t a^2) overflows (BSM sigma = 0.3, t = 0.1: spots below
+    1e-43 at order 2, 5e-154 at any order) raises DegenerateCoefficient.
     """
     if not isfinite(t) or t <= 0.0:
         raise DomainError(f"time must be positive and finite, got {t}")
-    c = _coefficients(jet, t, x, z, order)
-    d = np.subtract(x, y, dtype=float)
-    neg_q = np.multiply(d * d, -0.5 / (t * jet.a * jet.a))
-    alive = neg_q >= -EXP_ARG_MAX
-    shape = np.broadcast(neg_q, *c).shape
-    out = np.exp(neg_q, out=np.zeros(shape), where=alive)
-    poly = c[0]
-    if len(c) > 1:
-        d = np.where(alive, d, 0.0)
-        poly = np.multiply(c[-1], d, out=np.empty(shape))
-        for ck in reversed(c[1:-1]):
-            poly += ck
-            poly *= d
-        poly += c[0]
-    out *= poly
+    with np.errstate(all="ignore"):  # a kernel that is not finite raises below
+        c = _coefficients(jet, t, x, z, order)
+        d = np.subtract(x, y, dtype=float)
+        inv_var = np.divide(-0.5, t * jet.a * jet.a)
+        neg_q = np.multiply(d * d, inv_var)
+        alive = neg_q >= -EXP_ARG_MAX
+        shape = np.broadcast(neg_q, *c).shape
+        out = np.exp(neg_q, out=np.zeros(shape), where=alive)
+        poly = c[0]
+        if len(c) > 1:
+            d = np.where(alive, d, 0.0)
+            poly = np.multiply(c[-1], d, out=np.empty(shape))
+            for ck in reversed(c[1:-1]):
+                poly += ck
+                poly *= d
+            poly += c[0]
+        out *= poly
+    if not (np.isfinite(inv_var).all() and np.isfinite(out).all()):
+        raise DegenerateCoefficient(f"the kernel is not finite at t={t}: a*sqrt(t) is out of range")
     return out[()] if out.ndim == 0 else out
 
 

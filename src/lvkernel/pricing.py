@@ -123,9 +123,14 @@ class SampledPayoff(Payoff):
         return np.interp(yq, self.y, self.values)
 
 
+def _order_fault(order: int) -> Optional[str]:
+    """Why no closed form of this expansion order exists, or None (1 and 2)."""
+    return None if order in (1, 2) else f"price order must be 1 or 2, got {order}"
+
+
 def _check_quote(order: int, t: float, K: float) -> None:
-    if order not in (1, 2):
-        raise DomainError(f"price order must be 1 or 2, got {order}")
+    if (fault := _order_fault(order)) is not None:
+        raise DomainError(fault)
     if not math.isfinite(t) or t <= 0.0:
         raise DomainError(f"time must be positive and finite, got {t}")
     _check_strike(K)
@@ -155,12 +160,13 @@ def _calls(order: int, jet: CoefficientJet, t: float, strikes, x: ArrayLike) -> 
     h = _hermite_coefficients(jet, t, x, x, order)
     # h_0 + sum_{k>=2} h_k He_{k-2}(mu) by powers of mu
     bracket = _he_to_power([h[0] + h[2]] + h[3:])
-    s = jet.a * math.sqrt(t)
+    s = jet.a * np.sqrt(t)  # a NumPy scalar: a width s^2 that underflows divides to inf
     s2 = s * s
     calls = []
     for K in strikes:
         # the Gaussian factor comes before mu: in long runs of 10k-spot quotes
-        # the other order made glibc trim and re-fault the heap on every call
+        # the other order made glibc trim and re-fault the heap on every call,
+        # as did an np.where on the Gaussian term in place of poly[dead] = 0
         m = x - K
         q = m * m / (2.0 * s2)
         expq = np.exp(-q) * (q <= EXP_ARG_MAX)
@@ -169,6 +175,11 @@ def _calls(order: int, jet: CoefficientJet, t: float, strikes, x: ArrayLike) -> 
         poly = bracket[-1]
         for e in reversed(bracket[:-1]):
             poly = poly * mu + e
+        dead = q > EXP_ARG_MAX  # as in the kernel, the Gaussian term is exactly 0 there
+        if isinstance(poly, np.ndarray):
+            poly[dead] = 0.0
+        elif dead:
+            poly = 0.0
         calls.append(E * _forward(order, jet, t, m) + s / _SQRT_2PI * expq * poly)
     return calls
 
@@ -266,9 +277,7 @@ def _why_no_closed_form(spec: KernelSpec, payoff: Payoff) -> Optional[str]:
         return "closed-form prices exist only for the z=x basepoint"
     if not isinstance(payoff, (CallPayoff, PutPayoff, ButterflyPayoff)):
         return "closed-form pricing supports call, put and butterfly payoffs"
-    if spec.order not in (1, 2):
-        return f"price order must be 1 or 2, got {spec.order}"
-    return None
+    return _order_fault(spec.order)
 
 
 def _price_closed_dispatch(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike) -> ArrayLike:

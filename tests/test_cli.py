@@ -81,7 +81,7 @@ class TestPriceCommand:
                    "--payoff", "call", "--strike", "15", "--spot", "16"])
         out, err = capsys.readouterr()
         assert rc == 2
-        assert err == "order must be 1 or 2\n"
+        assert err == "kernel order must be 0, 1 or 2, got 3\n"
 
     def test_negative_time_is_domain_error(self, capsys):
         rc = main(["price", "--model", BSM_JSON, "--order", "2", "--t", "-0.5",
@@ -126,6 +126,22 @@ class TestPriceCommand:
                    "--spot", "1e-250"])
         out, err = capsys.readouterr()
         assert (rc, out, err) == (1, "", "jet field d2a_dx2 is not finite\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spot", ["1e-100", "1e-200"])
+    def test_tiny_spot_prices_its_intrinsic_part(self, capsys, spot):
+        # the order-2 bracket is nan at 1e-100, and s^2 underflows at 1e-200
+        rc = main(["price", "--model", BSM_JSON, "--order", "2", "--t", "0.1",
+                   "--payoff", "call", "--strike", "15", "--spot", spot])
+        assert (rc, *capsys.readouterr()) == (0, "0\n", "")
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_result_is_a_domain_error(self, capsys, tmp_path):
+        out = tmp_path / "price.txt"
+        rc = main(["price", "--model", BSM_JSON, "--order", "2", "--t", "1e308",
+                   "--payoff", "call", "--strike", "15", "--spot", "16", "--out", str(out)])
+        assert (rc, *capsys.readouterr()) == (1, "", "the result is not finite: inf\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("grid", ["1:2", "a:b:c", "0:10:1"])
     def test_malformed_grid(self, capsys, grid):
@@ -258,6 +274,14 @@ class TestKernelCommand:
         assert (rc, out) == (1, "")
         assert err == "basepoint requires finite x > 0 and y > 0\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_width_too_small_is_a_one_line_domain_failure(self, capsys):
+        rc = main(["kernel", "--model", BSM_JSON, "--order", "2", "--t", "0.1",
+                   "--x", "1e-200", "--grid", "14:16:1"])
+        out, err = capsys.readouterr()
+        assert (rc, out, err.count("\n")) == (1, "", 1)
+        assert err.startswith("the kernel is not finite at t=0.1")
+
 
 class TestGreeksCommand:
     def test_single_spot(self, capsys):
@@ -375,6 +399,20 @@ class TestCompareCommand:
         mask = (arr[:, 1] >= 13.0) & (arr[:, 1] <= 17.0)
         assert np.max(arr[mask, 4]) < 1e-2
 
+    def test_bootstrap_rows_are_those_of_the_bootstrap_command(self, capsys):
+        model = '{"kind": "bsm", "sigma": 0.5, "r": 0.1}'
+        assert main(["compare", "--model", model, "--oracle", "bs-exact", "--method", "bootstrap",
+                     "--grid", "0.1:30:0.1", "--times", "0.5,1", "--strike", "20",
+                     "--steps", "10"]) == 0
+        table = capsys.readouterr().out.splitlines()[1:]
+        for t in ("0.5", "1"):
+            assert main(["bootstrap", "--model", model, "--order", "2", "--t", t,
+                         "--steps", "10", "--xmax", "30", "--dx", "0.1", "--payoff", "call",
+                         "--strike", "20", "--compare-oracle", "bs-exact"]) == 0
+            want = capsys.readouterr().out.splitlines()[1:]
+            assert len(want) == 300
+            assert [row.partition(",")[2] for row in table if row.startswith(t + ",")] == want
+
     def test_empty_times_rejected(self, capsys):
         rc = main(["compare", "--model", BSM_JSON, "--oracle", "bs-exact",
                    "--method", "order1", "--grid", "12:18:1", "--times", ",",
@@ -427,6 +465,57 @@ class TestOracleFitsBeforeSolve:
         rc = main(argv)
         out, err = capsys.readouterr()
         assert (rc, out, err) == (2, "", message)
+
+
+class TestOrderRange:
+    """--order takes the kernel's range 0, 1 or 2 on every subcommand, and
+    the closed forms need 1 or 2, as in the library."""
+
+    QUOTE = ["--model", BSM_JSON, "--t", "0.1", "--payoff", "call", "--strike", "15"]
+    ARGVS = {
+        "price": ["price", *QUOTE, "--spot", "16"],
+        "greeks": ["greeks", *QUOTE, "--spot", "16", "--dx", "0.1"],
+        "kernel": ["kernel", "--model", BSM_JSON, "--t", "0.1", "--x", "15", "--grid", "14:16:1"],
+        "bootstrap": ["bootstrap", "--model", BSM_JSON, *BOOTSTRAP_ARGS[2:], "--payoff", "call",
+                      "--compare-oracle", "bs-exact"],
+    }
+
+    def test_order_zero_quadrature_prices_the_order_zero_kernel(self, capsys):
+        rc = main(["price", *self.QUOTE, "--order", "0", "--method", "quadrature",
+                   "--grid", "10:20:0.1"])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        curve = price_curve(KernelSpec(BSM, order=0), 0.1, CallPayoff(15.0),
+                            SpatialGrid(10.0, 20.0, 0.1))
+        assert _parse_csv(out)[1] == [[x, v] for x, v in zip(curve.x, curve.values)]
+
+    @pytest.mark.parametrize("argv", [
+        ["greeks", *QUOTE, "--order", "0", "--method", "quadrature", "--grid", "10:20:0.1"],
+        [*ARGVS["bootstrap"], "--order", "0"],
+    ], ids=["greeks", "bootstrap"])
+    def test_order_zero_runs(self, argv, capsys):
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        assert np.all(np.isfinite(np.asarray(_parse_csv(out)[1])))
+
+    @pytest.mark.parametrize("argv", [
+        [*ARGVS["price"], "--order", "0"],
+        ["price", *QUOTE, "--order", "0", "--grid", "10:20:1"],
+        [*ARGVS["greeks"], "--order", "0"],
+    ], ids=["price-spot", "price-grid", "greeks-spot"])
+    def test_closed_form_of_order_zero_is_a_domain_error(self, argv, capsys):
+        assert (main(argv), *capsys.readouterr()) == (
+            1, "", "price order must be 1 or 2, got 0\n")
+
+    @pytest.mark.parametrize("command", ["bootstrap", "greeks", "kernel"])  # price: above
+    def test_order_three_is_a_usage_error(self, command, capsys):
+        assert (main([*self.ARGVS[command], "--order", "3"]), *capsys.readouterr()) == (
+            2, "", "kernel order must be 0, 1 or 2, got 3\n")
+
+    def test_kernel_help_shows_a_plain_order(self, capsys):
+        assert main(["kernel", "--help"]) == 0
+        assert " --order ORDER " in capsys.readouterr().out
 
 
 class TestFlagTable:

@@ -20,6 +20,7 @@ from lvkernel import (
     BSMModel,
     CallPayoff,
     CEVModel,
+    DegenerateCoefficient,
     DomainError,
     KernelSpec,
     SpatialGrid,
@@ -204,6 +205,13 @@ class TestKernelEval:
         assert q > EXP_ARG_MAX
         spec = KernelSpec(model, order=order)
         assert kernel_eval(spec, t, x, y) == 0.0
+
+    @pytest.mark.parametrize("x", [1e-100, 1e-200, np.array([1e-200, 1.0])],
+                             ids=["C_k-overflow", "s2-underflows", "array"])
+    def test_width_too_small_for_its_coefficients_is_degenerate(self, x):
+        # a sqrt(t) < 1e-100: the C_k overflow, and at 1e-200 t a^2 underflows
+        with pytest.raises(DegenerateCoefficient):
+            kernel_eval(KernelSpec(BSMModel(sigma=0.3, r=0.1), 2), 0.1, x, 15.0)
 
 
 class TestOffDiagonalBasepoints:

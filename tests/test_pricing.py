@@ -279,6 +279,24 @@ class TestClosedFormIdentities:
             assert price_call_closed(order, model, 1e-6, 15.0, 30.0) == 15.0
             assert price_call_closed(order, model, 1e-6, 15.0, 3.0) == 0.0
 
+    @pytest.mark.parametrize("model", CLOSED_FORM_MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("spot", [1e-100, 1e-200])
+    def test_tiny_spot_is_its_intrinsic_part(self, model, order, spot):
+        # the width a sqrt(t) is below 1e-50: the Gaussian term is exactly 0,
+        # though at order 2 its bracket overflows or is nan, and at 1e-200
+        # s^2 underflows to 0 on BSM and TD-BSM
+        t, K, payoff = 0.1, 15.0, ButterflyPayoff(14.0, 15.0, 16.0)
+        for x in (spot, np.array([spot, 16.0])):
+            call = price_call_closed(order, model, t, K, x)
+            put = price_put(order, model, t, K, x)
+            fly = price_butterfly_closed(order, model, t, payoff, x)
+            assert np.all(np.isfinite([call, put, fly]))
+            jet, m = model.jet(spot), spot - K
+            forward = m + jet.b * t + (jet.c * t * m if order == 2 else 0.0)
+            assert (np.atleast_1d(call)[0], np.atleast_1d(fly)[0]) == (0.0, 0.0)
+            assert np.atleast_1d(put)[0] == -forward
+
 
 class TestClosedFormIsKernelMoment:
     """The closed-form call is the kernel's Gaussian moment: adaptive
