@@ -1,8 +1,9 @@
 """Long-maturity pricing by composing the short-time kernel over sub-steps.
 
 The solution operator over t factors as the n-fold composition of the
-operator over t/n.  Each composition step is a dense Simpson-quadrature
-convolution of the approximate kernel with the previous step's curve.
+operator over t/n.  The first step is the closed-form price where one
+exists; every other step is a dense Simpson-quadrature convolution of the
+approximate kernel with the previous step's curve.
 """
 
 from __future__ import annotations
@@ -104,27 +105,25 @@ def _mass_check(spec: KernelSpec, tau: float, grid: SpatialGrid,
 def bootstrap_solve(config: BootstrapConfig, payoff: Payoff) -> PriceCurve:
     """Compose the approximate solution operator n_steps times.
 
-    One sub-step is plain quadrature pricing.  With two or more, the first
-    sub-step propagates the payoff by its closed-form price when one exists
-    (call, put or butterfly, the at-x basepoint, order 1 or 2), which treats
-    the payoff kink exactly; otherwise the sampled payoff is convolved.  All
-    later steps are quadrature convolutions with the same sub-step matrix.
+    One rule starts every step count: the first hop is the closed-form price
+    over one sub-step when one exists (call, put or butterfly, the at-x
+    basepoint, order 1 or 2), which treats the payoff kink exactly, and
+    otherwise a matrix hop of the payoff sampled at the nodes.  A matrix hop
+    is a quadrature convolution with the sub-step matrix, which is built and
+    mass-checked only when a hop needs it, so one closed-form step builds none.
     """
     spec = config.spec
     tau = config.tau
     grid = config.grid
-    if config.n_steps == 1:
-        return price_curve(spec, tau, payoff, grid, method="quadrature")
-
-    mat, mass = kernel_matrix(spec, tau, grid)
-    _mass_check(spec, tau, grid, mass)
-
-    if _why_no_closed_form(spec, payoff) is None:
-        u = price_curve(spec, tau, payoff, grid, method="closed").values.copy()
-        hops = config.n_steps - 1
+    closed = _why_no_closed_form(spec, payoff) is None
+    hops = config.n_steps - 1 if closed else config.n_steps
+    if hops:
+        mat, mass = kernel_matrix(spec, tau, grid)
+        _mass_check(spec, tau, grid, mass)
+    if closed:
+        u = price_curve(spec, tau, payoff, grid, method="closed").values
     else:
         u = np.asarray(payoff(grid.nodes), dtype=float)
-        hops = config.n_steps
     for _ in range(hops):
         u = mat @ u
     return PriceCurve(grid.nodes, u)

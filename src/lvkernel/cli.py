@@ -49,14 +49,14 @@ def _fmt(v: float) -> str:
 
 # Every flag, declared once.  Where a subcommand declares a flag differently
 # (type, choices, default, required status or help), its own entry is keyed
-# "command --flag".
+# "command --flag".  bootstrap's --compare-oracle is compare's --oracle.
+_ORACLE = dict(choices=["bs-exact", "hagan-woodward", "cn"], required=True)
 _FLAGS = {
     "--order": dict(type=int, required=True),
     "bootstrap --order": dict(type=int, default=2),
     "--t": dict(type=float, required=True),
     "--payoff": dict(choices=["call", "put", "butterfly"], required=True),
-    "--strike": dict(type=float),
-    "compare --strike": dict(type=float, required=True),
+    "--strike": dict(type=float, required=True),
     "--k1": dict(type=float),
     "--k2": dict(type=float),
     "--spot": dict(type=float),
@@ -74,8 +74,8 @@ _FLAGS = {
     "--basepoint": dict(choices=["atx", "aty", "mid"], default="atx"),
     "--method": dict(choices=["closed", "quadrature"], default="closed"),
     "compare --method": dict(choices=["order1", "order2", "bootstrap"], required=True),
-    "--compare-oracle": dict(choices=["bs-exact", "cn"], required=True),
-    "--oracle": dict(choices=["bs-exact", "hagan-woodward", "cn"], required=True),
+    "--compare-oracle": _ORACLE,
+    "--oracle": _ORACLE,
 }
 
 
@@ -131,18 +131,13 @@ def _parse_times(text: str) -> List[float]:
 
 
 def _payoff_from_params(params: dict) -> Payoff:
-    kind = params["payoff"]
-    strike = params.get("strike")
+    kind, strike = params["payoff"], params["strike"]
     if kind == "call":
-        if strike is None:
-            raise UsageError("--payoff call needs --strike")
         return CallPayoff(strike)
     if kind == "put":
-        if strike is None:
-            raise UsageError("--payoff put needs --strike")
         return PutPayoff(strike)
-    k1, k2 = params.get("k1"), params.get("k2")
-    if strike is None or k1 is None or k2 is None:
+    k1, k2 = params["k1"], params["k2"]
+    if k1 is None or k2 is None:
         raise UsageError("--payoff butterfly needs --k1, --strike, --k2")
     return ButterflyPayoff(k1, strike, k2)
 
@@ -172,13 +167,17 @@ def _csv(header: str, rows: Sequence[Sequence[float]]) -> str:
 
 def _quote_prelude(model: Model, params: dict, command: str) -> tuple:
     """The kernel spec and payoff of price and greeks, their --spot (None
-    with --grid) and their price curve on --grid (None with --spot)."""
+    with --grid) and their price curve on --grid (None with --spot).  A
+    single spot is priced in closed form only."""
     spec = _usage(KernelSpec, model, params["order"], BasepointRule(params["basepoint"]))
     payoff = _payoff_from_params(params)
     spot, grid_text = params.get("spot"), params.get("grid")
     if (spot is None) == (grid_text is None):
         raise UsageError(f"{command} needs exactly one of --spot or --grid")
     if spot is not None:
+        if params["method"] != "closed":
+            raise UsageError("quadrature pricing needs --grid" if command == "price"
+                             else "quadrature greeks need --grid")
         return spec, payoff, spot, None
     if params.get("dx") is not None:
         raise UsageError(f"{command} --grid differences at the grid's dx; "
@@ -192,8 +191,6 @@ def _run_price(model: Model, params: dict) -> str:
     spec, payoff, spot, curve = _quote_prelude(model, params, "price")
     if curve is not None:
         return _csv("x,price", zip(curve.x, curve.values))
-    if params["method"] != "closed":
-        raise UsageError("quadrature pricing needs --grid")
     return _fmt(_price_closed_dispatch(spec, params["t"], payoff, spot)) + "\n"
 
 
@@ -213,8 +210,6 @@ def _run_greeks(model: Model, params: dict) -> str:
     dx = params.get("dx")
     if dx is None:
         raise UsageError("greeks at a single --spot needs --dx")
-    if params["method"] != "closed":
-        raise UsageError("quadrature greeks need --grid")
     delta, gamma = greeks(lambda tt, xx: _price_closed_dispatch(spec, tt, payoff, xx),
                           params["t"], spot, dx)
     return _csv("x,delta,gamma", [(spot, delta, gamma)])

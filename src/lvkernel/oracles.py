@@ -257,10 +257,14 @@ def _reference(name: str, model: Model, payoff: Payoff,
     if name == "hagan-woodward":
         if not isinstance(model, CEVModel):
             raise DomainError("the hagan-woodward oracle needs a 'cev' model")
+        if model.alpha >= 1.0:
+            raise DomainError("the hagan-woodward oracle needs a 'cev' alpha below 1")
         if not isinstance(payoff, CallPayoff):
             raise DomainError("the hagan-woodward oracle compares call payoffs only")
         return lambda t: hagan_woodward_price(t, payoff.strike, xs, model.sigma,
                                               model.alpha, model.r)
     if name == "cn":
+        if grid.n_nodes < 4:
+            raise DomainError("the cn oracle needs a grid of at least 4 nodes")
         return lambda t: cn_solve(model, CNConfig(grid, min(1e-3, t / 200.0), t), payoff).values
     raise DomainError(f"unknown oracle {name!r}")

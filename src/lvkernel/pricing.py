@@ -102,25 +102,16 @@ class ButterflyPayoff(Payoff):
         )
 
 
-@dataclass(frozen=True)
-class SampledPayoff(Payoff):
-    """Payoff specified by samples on a grid; evaluated by linear interpolation."""
-
-    y: np.ndarray
-    values: np.ndarray
+class SampledPayoff(PriceCurve, Payoff):
+    """Payoff given by at least 2 finite samples at increasing points x,
+    evaluated by linear interpolation (constant past the end samples)."""
 
     def __post_init__(self) -> None:
-        y = np.asarray(self.y, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if y.ndim != 1 or v.shape != y.shape or y.size < 2:
-            raise DomainError("sampled payoff needs matching 1-D arrays of length >= 2")
-        if not np.all(np.diff(y) > 0.0):
-            raise DomainError("sample points must be strictly increasing")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "values", v)
+        super().__post_init__()
+        if len(self) < 2:
+            raise DomainError("sampled payoff needs at least 2 samples")
 
-    def __call__(self, yq: ArrayLike) -> ArrayLike:
-        return np.interp(yq, self.y, self.values)
+    __call__ = PriceCurve.value_at
 
 
 def _order_fault(order: int) -> Optional[str]:

@@ -26,7 +26,6 @@ from lvkernel import (
     kernel_eval,
     kernel_matrix,
     price_curve,
-    price_quadrature,
 )
 
 # reference sup-norm errors of the 10-step order-2 composition for the
@@ -92,21 +91,17 @@ class TestKernelMatrix:
 
 
 class TestBootstrapSolve:
-    def test_single_step_is_plain_quadrature(self):
-        spec = KernelSpec(MODEL, order=2)
-        grid = SpatialGrid.regular(40.0, 0.1)
-        config = BootstrapConfig(spec, t_total=0.1, n_steps=1, grid=grid)
-        boot = bootstrap_solve(config, CallPayoff(STRIKE))
-        direct = price_quadrature(spec, 0.1, CallPayoff(STRIKE), grid.nodes, grid)
-        np.testing.assert_allclose(boot.values, direct, rtol=0, atol=0)
-
-    def test_auto_single_step_is_plain_quadrature(self):
-        spec = KernelSpec(MODEL, order=2)
-        grid = SpatialGrid.regular(40.0, 0.1)
-        config = BootstrapConfig(spec, t_total=0.1, n_steps=1, grid=grid)
-        boot = bootstrap_solve(config, CallPayoff(STRIKE))
-        direct = price_curve(spec, 0.1, CallPayoff(STRIKE), grid)
-        np.testing.assert_allclose(boot.values, direct.values, rtol=0, atol=0)
+    def test_one_step_call_is_the_closed_form_accuracy(self):
+        # one sub-step prices the kink in closed form, 1.2e-5 off here;
+        # Simpson quadrature of the kinked payoff on this grid is 1.48e-3 off
+        spec = KernelSpec(BSMModel(sigma=0.3, r=0.1), order=2)
+        grid = SpatialGrid.regular(200.0, 0.1)
+        config = BootstrapConfig(spec, t_total=0.01, n_steps=1, grid=grid)
+        curve = bootstrap_solve(config, CallPayoff(15.0))
+        mask = (grid.nodes > 5.0) & (grid.nodes <= 30.0)
+        exact = bs_exact(0.01, 15.0, grid.nodes[mask], 0.3, 0.1)
+        err = np.max(np.abs(curve.values[mask] - exact))
+        assert err < 2e-5, f"one-step error {err:.3e} on (5, 30]"
 
     def test_order_zero_composition_is_a_semigroup(self):
         # with a constant jet the order-0 kernel is an exact Gaussian
@@ -129,9 +124,9 @@ class TestBootstrapSolve:
 
 
 class TestFirstHop:
-    """With two or more sub-steps the first hop is the closed-form price
-    exactly when price_curve(method="closed") has one; otherwise the sampled
-    payoff takes one more matrix hop."""
+    """For every step count the first hop is the closed-form price exactly
+    when price_curve(method="closed") has one; otherwise the sampled payoff
+    takes one more matrix hop.  The other n - 1 hops are matrix hops."""
 
     PAYOFFS = {
         "call": CallPayoff(15.0),
@@ -141,22 +136,26 @@ class TestFirstHop:
                                  np.maximum(np.linspace(1.0, 30.0, 30) - 15.0, 0.0)),
     }
 
+    @pytest.mark.parametrize("n_steps", [1, 2])
     @pytest.mark.parametrize("rule", [BasepointRule.AT_X, BasepointRule.AT_Y], ids=["atx", "aty"])
     @pytest.mark.parametrize("order", [0, 1, 2])
     @pytest.mark.parametrize("payoff", sorted(PAYOFFS))
-    def test_closed_form_first_hop_exactly_when_one_exists(self, payoff, order, rule):
+    def test_closed_form_first_hop_exactly_when_one_exists(self, payoff, order, rule, n_steps):
         payoff = self.PAYOFFS[payoff]
         spec = KernelSpec(BSMModel(sigma=0.3, r=0.1), order=order, basepoint=rule)
         grid = SpatialGrid.regular(30.0, 0.25)
+        config = BootstrapConfig(spec, t_total=0.1 * n_steps, n_steps=n_steps, grid=grid)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridTooCoarseWarning)
-            boot = bootstrap_solve(BootstrapConfig(spec, t_total=0.2, n_steps=2, grid=grid), payoff)
+            boot = bootstrap_solve(config, payoff)
         mat, _ = kernel_matrix(spec, 0.1, grid)
         try:
-            first = price_curve(spec, 0.1, payoff, grid, method="closed").values
+            want = price_curve(spec, 0.1, payoff, grid, method="closed").values
         except DomainError:
-            first = mat @ payoff(grid.nodes)
-        assert np.array_equal(boot.values, mat @ first)
+            want = mat @ payoff(grid.nodes)
+        for _ in range(n_steps - 1):
+            want = mat @ want
+        assert np.array_equal(boot.values, want)
 
 
 class TestMassDiagnostic:

@@ -303,6 +303,13 @@ class TestGreeksCommand:
         _, err = capsys.readouterr()
         assert rc == 2 and "--dx" in err
 
+    @pytest.mark.parametrize("dx", [[], ["--dx", "0.1"]], ids=["no-dx", "dx"])
+    def test_single_spot_is_closed_form_only(self, dx, capsys):
+        rc = main(["greeks", "--model", BSM_JSON, "--order", "2", "--t", "0.5",
+                   "--payoff", "call", "--strike", "20", "--spot", "18",
+                   "--method", "quadrature", *dx])
+        assert (rc, capsys.readouterr()) == (2, ("", "quadrature greeks need --grid\n"))
+
     def test_dx_with_grid_is_a_usage_error(self, capsys):
         # the grid's own spacing sets the step, so a --dx would go unused
         rc = main(["greeks", "--model", BSM_JSON, "--order", "2", "--t", "0.5",
@@ -412,6 +419,18 @@ class TestCompareCommand:
             want = capsys.readouterr().out.splitlines()[1:]
             assert len(want) == 300
             assert [row.partition(",")[2] for row in table if row.startswith(t + ",")] == want
+        # the two commands take the same oracles: hagan-woodward on a CEV model
+        cev = '{"kind": "cev", "sigma": 0.3, "alpha": 0.667, "r": 0.1}'
+        assert main(["compare", "--model", cev, "--oracle", "hagan-woodward",
+                     "--method", "bootstrap", "--grid", "0.1:30:0.1", "--times", "0.5",
+                     "--strike", "15", "--steps", "4"]) == 0
+        table = capsys.readouterr().out.splitlines()[1:]
+        assert main(["bootstrap", "--model", cev, "--order", "2", "--t", "0.5",
+                     "--steps", "4", "--xmax", "30", "--dx", "0.1", "--payoff", "call",
+                     "--strike", "15", "--compare-oracle", "hagan-woodward"]) == 0
+        want = capsys.readouterr().out.splitlines()[1:]
+        assert len(want) == 300
+        assert [row.partition(",")[2] for row in table] == want
 
     def test_empty_times_rejected(self, capsys):
         rc = main(["compare", "--model", BSM_JSON, "--oracle", "bs-exact",
@@ -452,6 +471,18 @@ class TestOracleFitsBeforeSolve:
             ["compare", "--model", CEV_JSON, "--oracle", "bs-exact", "--method",
              "order1", *COMPARE_ARGS],
             "the bs-exact oracle needs a 'bsm' model\n"),
+        "compare-hagan-woodward-alpha-one": (
+            ["compare", "--model", '{"kind": "cev", "sigma": 0.3, "alpha": 1.0}',
+             "--oracle", "hagan-woodward", "--method", "order2", *COMPARE_ARGS],
+            "the hagan-woodward oracle needs a 'cev' alpha below 1\n"),
+        "bootstrap-hagan-woodward-alpha-one": (
+            ["bootstrap", "--model", '{"kind": "cev", "sigma": 0.3, "alpha": 1.0}',
+             *BOOTSTRAP_ARGS, "--payoff", "call", "--compare-oracle", "hagan-woodward"],
+            "the hagan-woodward oracle needs a 'cev' alpha below 1\n"),
+        "compare-cn-three-nodes": (
+            ["compare", "--model", BSM_JSON, "--oracle", "cn", "--method", "order2",
+             "--grid", "12:14:1", "--times", "0.1", "--strike", "15"],
+            "the cn oracle needs a grid of at least 4 nodes\n"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -231,17 +231,25 @@ class TestReference:
 
     BSM = BSMModel(sigma=0.3, r=0.1)
 
-    @pytest.mark.parametrize("name, model, payoff, message", [
-        ("hagan-woodward", CEV, PutPayoff(15.0),
+    @pytest.mark.parametrize("name, model, payoff, grid, message", [
+        ("hagan-woodward", CEV, PutPayoff(15.0), GRID,
          "the hagan-woodward oracle compares call payoffs only"),
-        ("hagan-woodward", BSM, CallPayoff(15.0), "the hagan-woodward oracle needs a 'cev' model"),
-        ("bs-exact", CEV, CallPayoff(15.0), "the bs-exact oracle needs a 'bsm' model"),
-        ("bs-exact", BSM, PutPayoff(15.0), "the bs-exact oracle compares call payoffs only"),
-        ("monte-carlo", CEV, CallPayoff(15.0), "unknown oracle 'monte-carlo'"),
-    ], ids=["hagan-woodward-put", "hagan-woodward-bsm", "bs-exact-cev", "bs-exact-put", "unknown"])
-    def test_misfit_raises(self, name, model, payoff, message):
+        ("hagan-woodward", BSM, CallPayoff(15.0), GRID,
+         "the hagan-woodward oracle needs a 'cev' model"),
+        # hagan_woodward_vol needs beta < 1
+        ("hagan-woodward", CEVModel(sigma=0.3, alpha=1.0, r=0.1), CallPayoff(15.0), GRID,
+         "the hagan-woodward oracle needs a 'cev' alpha below 1"),
+        ("bs-exact", CEV, CallPayoff(15.0), GRID, "the bs-exact oracle needs a 'bsm' model"),
+        ("bs-exact", BSM, PutPayoff(15.0), GRID, "the bs-exact oracle compares call payoffs only"),
+        # cn_solve needs 4 nodes
+        ("cn", BSM, CallPayoff(15.0), SpatialGrid(12.0, 14.0, 1.0),
+         "the cn oracle needs a grid of at least 4 nodes"),
+        ("monte-carlo", CEV, CallPayoff(15.0), GRID, "unknown oracle 'monte-carlo'"),
+    ], ids=["hagan-woodward-put", "hagan-woodward-bsm", "hagan-woodward-alpha-one",
+            "bs-exact-cev", "bs-exact-put", "cn-three-nodes", "unknown"])
+    def test_misfit_raises(self, name, model, payoff, grid, message):
         with pytest.raises(DomainError) as info:
-            _reference(name, model, payoff, self.GRID)
+            _reference(name, model, payoff, grid)
         assert str(info.value) == message
 
     def test_cn_is_cn_solve_with_the_step_rule(self):

@@ -86,6 +86,13 @@ class TestPayoffs:
         with pytest.raises(DomainError):
             SampledPayoff(np.array([1.0, 2.0]), np.array([0.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_sampled_payoff_rejects_non_finite_samples(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            SampledPayoff(np.array([1.0, 2.0]), np.array([0.0, bad]))
+        with pytest.raises(DomainError):
+            SampledPayoff(np.array([1.0, bad]), np.array([0.0, 1.0]))
+
 
 class TestClosedFormCall:
     @pytest.mark.parametrize("order", [1, 2])

@@ -43,7 +43,7 @@ CLI_EXAMPLES = _cli_examples()
 
 
 def test_cli_examples_cover_every_subcommand():
-    assert len(CLI_EXAMPLES) == 7
+    assert len(CLI_EXAMPLES) == 8
     assert {argv[0] for _, argv in CLI_EXAMPLES} == set(_COMMANDS)
 
 
