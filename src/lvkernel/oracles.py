@@ -12,8 +12,7 @@ import numpy as np
 from .errors import DomainError, SingularMatrix
 from .grid import PriceCurve, SpatialGrid
 from .models import BSMModel, CEVModel, Model
-from .pricing import CallPayoff, Payoff
-from .pricing import ndtr as _norm_cdf  # the one standard normal CDF
+from .pricing import CallPayoff, Payoff, _norm_cdf
 
 __all__ = [
     "bs_exact",

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DomainError, GridTooCoarseWarning
 from .grid import PriceCurve, SpatialGrid, simpson_weights
@@ -35,6 +34,63 @@ __all__ = [
 ArrayLike = Union[float, np.ndarray]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT1_2 = math.sqrt(0.5)
+_MAXLOG = 7.09782712893383996843e2  # exp(-z^2) underflows past z^2 = MAXLOG
+
+
+def _norm_cdf(x: ArrayLike) -> ArrayLike:
+    """Standard normal CDF Phi, the package's one copy.
+
+    It has two branches so that `import lvkernel` loads no SciPy: loading
+    scipy.special costs a fresh process about 0.3 s, more than a closed-form
+    quote.  Arrays go to scipy.special.ndtr, imported on first use.  A Python
+    or NumPy float takes the Cephes formulas that ndtr runs (S. L. Moshier,
+    Methods and Programs for Mathematical Functions, 1989) in the same order
+    of operations, so it returns ndtr's bits and a scalar quote equals the
+    same spot of an array quote: erf(z) = z T(z^2) / U(z^2) for z < 1, and
+    erfc(z) = (exp(-z^2) P(z)) / Q(z) below 8 and (exp(-z^2) R(z)) / S(z)
+    from 8, at z = |x| / sqrt(2).  U, Q and S are monic; the Horner sums are
+    written out because a loop costs twice as much.  NaN falls through to NaN.
+    """
+    if not isinstance(x, float):
+        from scipy.special import ndtr
+
+        return ndtr(x)
+    u = float(x) * _SQRT1_2
+    z = abs(u)
+    if z < 1.0:
+        w = z * z
+        erf = (z * ((((9.60497373987051638749e0 * w + 9.00260197203842689217e1) * w
+                      + 2.23200534594684319226e3) * w + 7.00332514112805075473e3) * w
+                    + 5.55923013010394962768e4)
+               / (((((w + 3.35617141647503099647e1) * w + 5.21357949780152679795e2) * w
+                    + 4.59432382970980127987e3) * w + 2.26290000613890934246e4) * w
+                  + 4.92673942608635921086e4))
+        if z < _SQRT1_2:
+            return 0.5 + 0.5 * erf if u >= 0.0 else 0.5 - 0.5 * erf
+        half_erfc = 0.5 * (1.0 - erf)
+    elif z * z > _MAXLOG:
+        half_erfc = 0.0
+    elif z < 8.0:
+        half_erfc = 0.5 * ((math.exp(-z * z)
+                            * ((((((((2.46196981473530512524e-10 * z + 5.64189564831068821977e-1)
+                                     * z + 7.46321056442269912687e0) * z
+                                    + 4.86371970985681366614e1) * z + 1.96520832956077098242e2)
+                                  * z + 5.26445194995477358631e2) * z + 9.34528527171957607540e2)
+                                * z + 1.02755188689515710272e3) * z + 5.57535335369399327526e2))
+                           / ((((((((z + 1.32281951154744992508e1) * z + 8.67072140885989742329e1)
+                                   * z + 3.54937778887819891062e2) * z + 9.75708501743205489753e2)
+                                 * z + 1.82390916687909736289e3) * z + 2.24633760818710981792e3)
+                               * z + 1.65666309194161350182e3) * z + 5.57535340817727675546e2))
+    else:
+        half_erfc = 0.5 * ((math.exp(-z * z)
+                            * (((((5.64189583547755073984e-1 * z + 1.27536670759978104416e0) * z
+                                  + 5.01905042251180477414e0) * z + 6.16021097993053585195e0) * z
+                                + 7.40974269950448939160e0) * z + 2.97886665372100240670e0))
+                           / ((((((z + 2.26052863220117276590e0) * z + 9.39603524938001434673e0)
+                                 * z + 1.20489539808096656605e1) * z + 1.70814450747565897222e1)
+                               * z + 9.60896809063285878198e0) * z + 3.36907645100081516050e0))
+    return 1.0 - half_erfc if u > 0.0 else half_erfc
 
 
 def _check_strike(K: float) -> None:
@@ -162,7 +218,7 @@ def _calls(order: int, jet: CoefficientJet, t: float, strikes, x: ArrayLike) -> 
         q = m * m / (2.0 * s2)
         expq = np.exp(-q) * (q <= EXP_ARG_MAX)
         mu = m / s
-        E = ndtr(mu)
+        E = _norm_cdf(mu)
         poly = bracket[-1]
         for e in reversed(bracket[:-1]):
             poly = poly * mu + e
@@ -225,6 +281,13 @@ def price_quadrature(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike,
     GridTooCoarseWarning (the coarse comparison bounds the fine-grid
     quadrature error conservatively).  Silence it with the warnings module.
     """
+    return _quadrature(spec, t, payoff, x, grid)
+
+
+def _quadrature(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike,
+                grid: SpatialGrid) -> ArrayLike:
+    """The body of price_quadrature.  price_quadrature and price_curve both
+    call it directly, so its warning's stacklevel=3 names their caller."""
     y = grid.nodes
     hy = payoff(y)
     wh = grid.weights * hy
@@ -244,7 +307,7 @@ def price_quadrature(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike,
                 f"quadrature grid dx={grid.dx} looks too coarse "
                 f"(coarse-grid defect {defect:.3g})",
                 GridTooCoarseWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
     return float(vals[0]) if scalar else vals
 
@@ -256,7 +319,7 @@ def price_curve(spec: KernelSpec, t: float, payoff: Payoff, grid: SpatialGrid,
     if method == "closed":
         vals = _price_closed_dispatch(spec, t, payoff, xs)
     elif method == "quadrature":
-        vals = price_quadrature(spec, t, payoff, xs, grid)
+        vals = _quadrature(spec, t, payoff, xs, grid)
     else:
         raise DomainError(f"unknown pricing method {method!r}")
     return PriceCurve(xs, np.asarray(vals, dtype=float))

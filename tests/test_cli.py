@@ -573,3 +573,20 @@ class TestModuleEntryPoint:
         assert float(proc.stdout) == pytest.approx(
             price_call_closed(2, BSM, 0.1, 15.0, 16.0), rel=1e-16
         )
+
+    @pytest.mark.parametrize("argv", [
+        ["price", "--model", BSM_JSON, "--order", "2", "--t", "0.25", "--payoff", "call",
+         "--strike", "15.2", "--spot", "16.1"],
+        ["kernel", "--model", '{"kind": "cev", "sigma": 0.3, "alpha": 0.667}', "--order", "2",
+         "--t", "0.1", "--x", "15.1", "--grid", "12:18:0.1"],
+    ], ids=["price-spot", "kernel"])
+    def test_scalar_quote_and_kernel_load_no_scipy(self, argv):
+        # the scalar Phi needs no scipy.special, so these commands never pay
+        # about 0.3 s of a fresh process to load it
+        code = (f"import sys, lvkernel.cli; code = lvkernel.cli.main({argv!r}); "
+                "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lvkernel.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"

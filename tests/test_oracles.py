@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.integrate import simpson
-from scipy.special import erf
+from scipy.special import erf, ndtr
 
 from conftest import GaussianPayoff, OnePayoff, ZeroPayoff, constant_coefficient_model
 from lvkernel import (
@@ -36,6 +36,20 @@ class TestNormalFunctions:
         xs = np.linspace(-8.0, 8.0, 161)
         want = 0.5 * (1.0 + erf(xs / np.sqrt(2.0)))
         np.testing.assert_allclose(_norm_cdf(xs), want, rtol=0, atol=1e-15)
+
+    def test_scalar_cdf_is_ndtr_bit_for_bit(self):
+        # the scalar branch transcribes Cephes ndtr; probe both sides of each
+        # branch edge: |x|/sqrt(2) = 1/sqrt(2), 1 and 8, and x^2/2 = MAXLOG
+        edges = [1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), np.sqrt(2.0 * 7.09782712893383996843e2)]
+        near = [e + k * np.spacing(e) for e in edges for k in range(-50, 51)]
+        near += [e * (1.0 + f) for e in edges for f in np.linspace(-1e-3, 1e-3, 2001)]
+        xs = np.concatenate([np.linspace(-40.0, 40.0, 160001), near, np.negative(near),
+                             [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310]])
+        want = ndtr(xs)
+        as_float = np.array([_norm_cdf(float(x)) for x in xs])
+        as_float64 = np.array([_norm_cdf(x) for x in xs])  # iterating yields np.float64
+        assert np.array_equal(as_float, want, equal_nan=True)
+        assert np.array_equal(as_float64, want, equal_nan=True)
 
     def test_pdf_values(self):
         assert _norm_pdf(0.0) == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), rel=1e-15)
@@ -353,19 +367,20 @@ class TestCrankNicolson:
 
 
 def test_import_leaves_sparse_and_linalg_unloaded():
-    # cn_solve imports them when it runs; importing the package must not.  The
+    # cn_solve imports scipy.sparse and scipy.linalg when it runs, and an array
+    # Phi scipy.special; importing the package or its CLI loads no SciPy.  The
     # package's own modules load in a fixed order: one moved import once cost a
     # fresh process about 3,400 more minor page faults and 50 ms of set-up.
-    code = ("import sys, lvkernel; "
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-            "(['scipy', 'sparse'], ['scipy', 'linalg']))); "
-            "print([m for m in sys.modules if m.startswith('lvkernel')])")
+    scipy_modules = "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
+    code = ("import sys, lvkernel; " + scipy_modules +
+            "print([m for m in sys.modules if m.startswith('lvkernel')]); "
+            "import lvkernel.cli; " + scipy_modules)
     src = os.path.dirname(os.path.dirname(os.path.abspath(lvkernel.__file__)))
     env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    scipy_modules, own_modules = proc.stdout.splitlines()
-    assert scipy_modules == "[]"
+    scipy_modules, own_modules, cli_scipy_modules = proc.stdout.splitlines()
+    assert scipy_modules == cli_scipy_modules == "[]"
     assert own_modules == str([f"lvkernel.{m}" for m in (
         "errors", "grid", "models", "kernel", "pricing", "bootstrap", "oracles")] + ["lvkernel"])

@@ -365,6 +365,16 @@ class TestQuadrature:
             warnings.simplefilter("error", GridTooCoarseWarning)
             price_quadrature(spec, 0.1, CallPayoff(15.0), 15.0, grid)
 
+    @pytest.mark.parametrize("price", [
+        lambda spec, grid: price_curve(spec, 0.1, CallPayoff(15.0), grid, method="quadrature"),
+        lambda spec, grid: price_quadrature(spec, 0.1, CallPayoff(15.0), grid.nodes, grid),
+    ], ids=["price_curve", "price_quadrature"])
+    def test_coarse_grid_warning_names_the_caller(self, price):
+        spec = KernelSpec(BSMModel(sigma=0.3), order=0)
+        with pytest.warns(GridTooCoarseWarning) as record:
+            price(spec, SpatialGrid(10.0, 20.0, 0.1))
+        assert [w.filename for w in record] == [__file__]
+
     def test_block_is_evaluated_in_row_chunks(self):
         # evaluated whole, the midpoint rule's block-sized temporaries peak at
         # 27 blocks; 64 rows at a time at 2.3, and kernel_matrix, which keeps
