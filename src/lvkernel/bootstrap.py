@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, GridTooCoarseWarning
 from .grid import PriceCurve, SpatialGrid
-from .kernel import KernelSpec, _hermite_coefficients, _kernel_rows
+from .kernel import KernelSpec, _hermite_coefficients, _weighted_block
 from .models import Model
 from .pricing import CallPayoff, Payoff, _why_no_closed_form, price_curve
 
@@ -56,11 +56,11 @@ def kernel_matrix(spec: KernelSpec, tau: float,
     """Dense propagation matrix M[i, j] = G_tau(x_i, y_j) w_j and its row sums.
 
     The row sums approximate the kernel mass integral and feed the coarseness
-    diagnostic.
+    diagnostic.  At z = x the coefficients are computed once per row, and the
+    live band |x_i - y_j| <= sqrt(2 * 745 tau) a(x_i) at z = x_i is the only
+    part evaluated: the entries outside it are exact zeros by definition.
     """
-    mat = np.empty((grid.n_nodes, grid.n_nodes))
-    for rows, k in _kernel_rows(spec, tau, grid.nodes, grid.nodes):
-        np.multiply(k, grid.weights, out=mat[rows])
+    mat = _weighted_block(spec, tau, grid.nodes, grid.weights, grid.dx)
     return mat, mat.sum(axis=1)
 
 

@@ -3,10 +3,12 @@
 Every kernel, at every order and basepoint rule z(x, y), is one Hermite
 series G_0(d) * sum_{k <= 3n} h_k He_k(d/s), d = x - y, s = a sqrt(t), G_0 the
 Gaussian of the jet frozen at z; _hermite_coefficients is the one copy of the
-h_k.  Evaluation sums the series in powers of d (one exp per entry and a
-Horner sum; at z = x one set of powers per row of an (x, y) block), and the
-closed-form prices in pricing are its Gaussian moments.  All operations are
-pure functions and vectorize over numpy arrays.
+h_k.  Evaluation sums the series in powers of d: one exp per entry and a
+Horner sum, in _gauss_poly.  A kernel matrix at z = x computes the powers
+once per row, evaluates only each row's live band, where q = d^2/(2 t a^2)
+<= EXP_ARG_MAX, and leaves the exact zeros outside it unevaluated.  The
+closed-form prices in pricing are the series' Gaussian moments.  All
+operations are pure functions and vectorize over numpy arrays.
 """
 
 from __future__ import annotations
@@ -116,6 +118,8 @@ def _coefficients(jet: CoefficientJet, t: float, x: ArrayLike, z: ArrayLike, ord
     """C_0..C_{3 order} of the order-n kernel G_0(d) sum_m C_m d^m, with the
     Gaussian's prefactor folded in: C_m = e_m s^-m / (s sqrt(2 pi)) for the
     powers e_m of the Hermite series."""
+    if not isfinite(t) or t <= 0.0:
+        raise DomainError(f"time must be positive and finite, got {t}")
     s = jet.a * np.sqrt(t)  # a NumPy scalar: a width that underflows divides to inf
     c, scale = [], 1.0 / (s * sqrt(2.0 * pi))
     for em in _he_to_power(_hermite_coefficients(jet, t, x, z, order)):
@@ -124,36 +128,49 @@ def _coefficients(jet: CoefficientJet, t: float, x: ArrayLike, z: ArrayLike, ord
     return c
 
 
+def _check_finite(t: float, *arrays) -> None:
+    if not all(np.isfinite(v).all() for v in arrays):
+        raise DegenerateCoefficient(f"the kernel is not finite at t={t}: a*sqrt(t) is out of range")
+
+
+def _gauss_poly(c: list, d, neg_q, alive, out, buf=None):
+    """exp(neg_q) sum_k C_k d^k into out, zeros on entry, where alive.
+
+    d must be 0 elsewhere: out keeps its zeros there, and the sum, taken at
+    d = 0, cannot overflow to leave 0*inf = nan behind.  buf, of out's shape,
+    takes the Horner sum (it may be neg_q's); a new array if None.
+    """
+    np.exp(neg_q, out=out, where=alive)
+    poly = c[0]
+    if len(c) > 1:
+        poly = np.multiply(c[-1], d, out=np.empty(out.shape) if buf is None else buf)
+        for ck in reversed(c[1:-1]):
+            poly += ck
+            poly *= d
+        poly += c[0]
+    out *= poly
+    return out
+
+
 def _kernel(jet: CoefficientJet, t: float, x: ArrayLike, y: ArrayLike, z: ArrayLike,
             order: int) -> ArrayLike:
     """G_0(d) sum_k C_k d^k, exactly 0 wherever q = d^2/(2 t a^2) > EXP_ARG_MAX.
 
-    The polynomial is summed at d = 0 on those dead entries, so one that would
-    overflow there cannot leave 0*inf = nan behind.  A width a sqrt(t) so small
-    that a C_k or 0.5/(t a^2) overflows (BSM sigma = 0.3, t = 0.1: spots below
-    1e-43 at order 2, 5e-154 at any order) raises DegenerateCoefficient.
+    A width a sqrt(t) so small that a C_k or 0.5/(t a^2) overflows (BSM
+    sigma = 0.3, t = 0.1: spots below 1e-43 at order 2, 5e-154 at any order)
+    raises DegenerateCoefficient.
     """
-    if not isfinite(t) or t <= 0.0:
-        raise DomainError(f"time must be positive and finite, got {t}")
     with np.errstate(all="ignore"):  # a kernel that is not finite raises below
         c = _coefficients(jet, t, x, z, order)
         d = np.subtract(x, y, dtype=float)
         inv_var = np.divide(-0.5, t * jet.a * jet.a)
         neg_q = np.multiply(d * d, inv_var)
         alive = neg_q >= -EXP_ARG_MAX
-        shape = np.broadcast(neg_q, *c).shape
-        out = np.exp(neg_q, out=np.zeros(shape), where=alive)
-        poly = c[0]
+        out = np.zeros(np.broadcast(neg_q, *c).shape)
         if len(c) > 1:
             d = np.where(alive, d, 0.0)
-            poly = np.multiply(c[-1], d, out=np.empty(shape))
-            for ck in reversed(c[1:-1]):
-                poly += ck
-                poly *= d
-            poly += c[0]
-        out *= poly
-    if not (np.isfinite(inv_var).all() and np.isfinite(out).all()):
-        raise DegenerateCoefficient(f"the kernel is not finite at t={t}: a*sqrt(t) is out of range")
+        out = _gauss_poly(c, d, neg_q, alive, out)
+    _check_finite(t, inv_var, out)
     return out[()] if out.ndim == 0 else out
 
 
@@ -169,3 +186,43 @@ def _kernel_rows(spec: KernelSpec, t: float, x: np.ndarray, y: np.ndarray):
     for start in range(0, x.size, _CHUNK_ROWS):
         rows = slice(start, min(start + _CHUNK_ROWS, x.size))
         yield rows, kernel_eval(spec, t, x[rows, None], y[None, :])
+
+
+def _weighted_block(spec: KernelSpec, t: float, x: np.ndarray, w: np.ndarray,
+                    dx: float) -> np.ndarray:
+    """kernel_eval(spec, t, x[:, None], x[None, :]) * w bit for bit, for nodes
+    x dx apart.  At z = x each chunk of rows evaluates, in reused buffers,
+    only the union of its rows' live columns |x - y| <= sqrt(2 EXP_ARG_MAX t)
+    a (widened by 1e-9 of itself and by dx); the rest keep np.zeros' +0.0."""
+    mat = np.zeros((x.size, x.size))
+    if spec.basepoint is not BasepointRule.AT_X:
+        for rows, k in _kernel_rows(spec, t, x, x):
+            np.multiply(k, w, out=mat[rows])
+        return mat
+    jet = spec.model.jet(x)
+    with np.errstate(all="ignore"):  # a kernel that is not finite raises below
+        c = [np.broadcast_to(ck, x.shape) for ck in _coefficients(jet, t, x, x, spec.order)]
+        inv_var = np.broadcast_to(np.divide(-0.5, t * jet.a * jet.a), x.shape)
+        half = sqrt(2.0 * EXP_ARG_MAX * t) * (1.0 + 1e-9) * jet.a + dx
+        lo, hi = np.searchsorted(x, x - half), np.searchsorted(x, x + half, side="right")
+        # a dead entry is 0 * C_0 w: -0.0 on a row whose C_0 is negative, so it is evaluated whole
+        lo[np.signbit(c[0])], hi[np.signbit(c[0])] = 0, x.size
+        floats = np.empty((2, _CHUNK_ROWS * x.size))
+        masks = np.empty(floats.shape, bool)
+        for start in range(0, x.size, _CHUNK_ROWS):
+            rows = slice(start, min(start + _CHUNK_ROWS, x.size))
+            band = slice(lo[rows].min(), hi[rows].max())
+            shape = (rows.stop - start, band.stop - band.start)
+            size = shape[0] * shape[1]
+            d, neg_q, alive, dead = (b[:size].reshape(shape) for b in (*floats, *masks))
+            np.subtract(x[rows, None], x[None, band], out=d)
+            np.multiply(d, d, out=neg_q)
+            neg_q *= inv_var[rows, None]
+            np.greater_equal(neg_q, -EXP_ARG_MAX, out=alive)
+            if len(c) > 1:
+                np.copyto(d, 0.0, where=np.logical_not(alive, out=dead))
+            out = _gauss_poly([ck[rows, None] for ck in c], d, neg_q, alive, mat[rows, band],
+                              buf=neg_q)
+            _check_finite(t, inv_var[rows], out)
+            out *= w[band]
+    return mat

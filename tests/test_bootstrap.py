@@ -1,6 +1,7 @@
 """Sub-step composition of the approximate kernel: the dense propagation
 matrix, the composed solve, and its long-maturity error behavior."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,12 +15,14 @@ from lvkernel import (
     ButterflyPayoff,
     CallPayoff,
     CEVModel,
+    DegenerateCoefficient,
     DomainError,
     GridTooCoarseWarning,
     KernelSpec,
     PutPayoff,
     SampledPayoff,
     SpatialGrid,
+    TimeDependentBSMModel,
     bootstrap_error_table,
     bootstrap_solve,
     bs_exact,
@@ -88,6 +91,87 @@ class TestKernelMatrix:
         chunked, _ = kernel_matrix(spec, 0.05, grid)
         np.testing.assert_array_equal(full, chunked)
         np.testing.assert_array_equal(curve, price_curve(spec, 0.05, CallPayoff(STRIKE), grid).values)
+
+
+BAND_MODELS = {
+    "bsm": BSMModel(sigma=0.5, r=0.1),
+    "cev": CEVModel(sigma=0.3, alpha=2.0 / 3.0, r=0.1),
+    "tdbsm": TimeDependentBSMModel(sigma=0.3, sigma_dot0=0.2, r=0.1),
+    "constant": constant_coefficient_model(a=0.4, b=0.05, c=-0.1),
+}
+BAND_GRIDS = {
+    "regular": SpatialGrid.regular(200.0, 0.1),
+    "from_one": SpatialGrid(1.0, 41.0, 0.05),
+}
+BAND_TAUS = (0.0125, 0.025, 0.05, 0.1, 0.2)
+
+
+def _assert_dense_bytes(spec, tau, grid):
+    """kernel_matrix and its row sums carry the bytes of kernel_eval * w,
+    evaluated dense 64 rows at a time: an out-of-band -0.0 or a stray
+    subnormal fails."""
+    mat, mass = kernel_matrix(spec, tau, grid)
+    xs, w = grid.nodes, grid.weights
+    for start in range(0, xs.size, 64):
+        rows = slice(start, start + 64)
+        want = kernel_eval(spec, tau, xs[rows, None], xs[None, :]) * w
+        assert want.tobytes() == mat[rows].tobytes(), f"rows {start}+ at tau={tau}"
+        assert want.sum(axis=1).tobytes() == mass[rows].tobytes(), f"row sums {start}+"
+
+
+class TestKernelMatrixBand:
+    """At z = x the matrix evaluates only each chunk's live band; every entry
+    and row sum must keep the bytes of the dense evaluation."""
+
+    @pytest.mark.parametrize("grid", sorted(BAND_GRIDS))
+    @pytest.mark.parametrize("model", sorted(BAND_MODELS))
+    def test_bit_for_bit_with_dense_evaluation(self, model, grid):
+        for order in (0, 1, 2):
+            for tau in BAND_TAUS:
+                _assert_dense_bytes(KernelSpec(BAND_MODELS[model], order), tau, BAND_GRIDS[grid])
+
+    def test_band_edges_across_chunk_edges(self, monkeypatch):
+        # 7-row chunks: the union of the live columns changes inside what
+        # would be one 64-row chunk
+        monkeypatch.setattr("lvkernel.kernel._CHUNK_ROWS", 7)
+        for order in (0, 1, 2):
+            for tau in BAND_TAUS:
+                _assert_dense_bytes(KernelSpec(BAND_MODELS["cev"], order), tau,
+                                    BAND_GRIDS["regular"])
+
+    def test_rows_with_negative_mass_keep_their_signed_zeros(self):
+        # at order 2 the CEV kernel at spot 1e-6 has C_0 < 0, so its dead
+        # entries are 0 * C_0 * w = -0.0, not the +0.0 of an unevaluated entry
+        spec = KernelSpec(BAND_MODELS["cev"], 2)
+        grid = SpatialGrid(1e-6, 3.0, 0.01)
+        mat, _ = kernel_matrix(spec, 0.0125, grid)
+        assert np.signbit(mat[0, -1]) and mat[0, -1] == 0.0
+        _assert_dense_bytes(spec, 0.0125, grid)
+
+    def test_errors_keep_their_type_and_message(self):
+        spec = KernelSpec(BSMModel(sigma=0.3), order=2)
+        with pytest.raises(DegenerateCoefficient,
+                           match=r"^the kernel is not finite at t=0\.1: a\*sqrt\(t\) is out of range$"):
+            kernel_matrix(spec, 0.1, SpatialGrid(1e-45, 2.0, 0.01))
+        grid = SpatialGrid.regular(10.0, 0.5)
+        for tau in (0.0, -0.1, float("nan")):
+            with pytest.raises(DomainError, match="^time must be positive and finite"):
+                kernel_matrix(spec, tau, grid)
+
+    def test_peak_memory_is_the_matrix_and_reused_chunk_buffers(self):
+        # allocating each chunk's temporaries afresh, the build peaked at
+        # n^2*8 plus 5.3 blocks of 64 rows; with two float buffers and two
+        # masks reused across chunks it peaks at 2.7
+        grid = SpatialGrid.regular(200.0, 0.1)
+        n = grid.n_nodes
+        spec = KernelSpec(BSMModel(sigma=0.5, r=0.1), order=2)
+        tracemalloc.start()
+        try:
+            kernel_matrix(spec, 0.1, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 + 4 * (64 * n * 8)
 
 
 class TestBootstrapSolve:
