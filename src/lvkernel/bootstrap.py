@@ -42,8 +42,9 @@ class BootstrapConfig:
     def __post_init__(self) -> None:
         if not np.isfinite(self.t_total) or self.t_total <= 0.0:
             raise DomainError("t_total must be positive and finite")
-        if self.n_steps < 1:
-            raise DomainError("n_steps must be at least 1")
+        n = self.n_steps
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise DomainError(f"n_steps must be an integer at least 1, got {n!r}")
 
     @property
     def tau(self) -> float:
@@ -57,10 +58,11 @@ def kernel_matrix(spec: KernelSpec, tau: float,
 
     The row sums approximate the kernel mass integral and feed the coarseness
     diagnostic.  At z = x the coefficients are computed once per row, and the
-    live band |x_i - y_j| <= sqrt(2 * 745 tau) a(x_i) at z = x_i is the only
-    part evaluated: the entries outside it are exact zeros by definition.
+    live band |x_i - y_j| <= sqrt(2 * 745 tau) a(x_i) at z = x_i, widened by
+    one node on each side, is the only part evaluated: the entries outside it
+    are +0.0 by definition.
     """
-    mat = _weighted_block(spec, tau, grid.nodes, grid.weights, grid.dx)
+    mat = _weighted_block(spec, tau, grid.nodes, grid.weights)
     return mat, mat.sum(axis=1)
 
 

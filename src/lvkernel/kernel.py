@@ -4,11 +4,13 @@ Every kernel, at every order and basepoint rule z(x, y), is one Hermite
 series G_0(d) * sum_{k <= 3n} h_k He_k(d/s), d = x - y, s = a sqrt(t), G_0 the
 Gaussian of the jet frozen at z; _hermite_coefficients is the one copy of the
 h_k.  Evaluation sums the series in powers of d: one exp per entry and a
-Horner sum, in _gauss_poly.  A kernel matrix at z = x computes the powers
-once per row, evaluates only each row's live band, where q = d^2/(2 t a^2)
-<= EXP_ARG_MAX, and leaves the exact zeros outside it unevaluated.  The
-closed-form prices in pricing are the series' Gaussian moments.  All
-operations are pure functions and vectorize over numpy arrays.
+Horner sum, in _gauss_poly, the one body of every evaluation.  The kernel is
+exactly +0.0 wherever q = d^2/(2 t a^2) > EXP_ARG_MAX.  A kernel matrix at
+z = x computes the powers once per row, evaluates only each row's live band
+(q <= EXP_ARG_MAX, widened by one node on each side), and leaves the +0.0
+outside it unevaluated.  The closed-form prices in pricing are the series'
+Gaussian moments.  All operations are pure functions and vectorize over
+numpy arrays.
 """
 
 from __future__ import annotations
@@ -133,28 +135,32 @@ def _check_finite(t: float, *arrays) -> None:
         raise DegenerateCoefficient(f"the kernel is not finite at t={t}: a*sqrt(t) is out of range")
 
 
-def _gauss_poly(c: list, d, neg_q, alive, out, buf=None):
-    """exp(neg_q) sum_k C_k d^k into out, zeros on entry, where alive.
+def _gauss_poly(c: list, inv_var, d, neg_q, alive, out):
+    """exp(-q) sum_k C_k d^k into out, zeros on entry, where q = -d^2 inv_var
+    <= EXP_ARG_MAX; out keeps its +0.0 elsewhere, whatever the sum is there.
 
-    d must be 0 elsewhere: out keeps its zeros there, and the sum, taken at
-    d = 0, cannot overflow to leave 0*inf = nan behind.  buf, of out's shape,
-    takes the Horner sum (it may be neg_q's); a new array if None.
+    neg_q and alive, of out's shape, take -q and the live mask; then neg_q
+    takes the Horner sum, zeroed where dead, and alive the dead mask.  At
+    order 0 the sum is C_0 > 0, which keeps the +0.0 as it is.
     """
+    np.multiply(d, d, out=neg_q)
+    neg_q *= inv_var
+    np.greater_equal(neg_q, -EXP_ARG_MAX, out=alive)
     np.exp(neg_q, out=out, where=alive)
     poly = c[0]
     if len(c) > 1:
-        poly = np.multiply(c[-1], d, out=np.empty(out.shape) if buf is None else buf)
+        poly = np.multiply(c[-1], d, out=neg_q)
         for ck in reversed(c[1:-1]):
             poly += ck
             poly *= d
         poly += c[0]
-    out *= poly
-    return out
+        np.copyto(poly, 0.0, where=np.logical_not(alive, out=alive))
+    return np.multiply(out, poly, out=out)
 
 
 def _kernel(jet: CoefficientJet, t: float, x: ArrayLike, y: ArrayLike, z: ArrayLike,
             order: int) -> ArrayLike:
-    """G_0(d) sum_k C_k d^k, exactly 0 wherever q = d^2/(2 t a^2) > EXP_ARG_MAX.
+    """G_0(d) sum_k C_k d^k, exactly +0.0 wherever q = d^2/(2 t a^2) > EXP_ARG_MAX.
 
     A width a sqrt(t) so small that a C_k or 0.5/(t a^2) overflows (BSM
     sigma = 0.3, t = 0.1: spots below 1e-43 at order 2, 5e-154 at any order)
@@ -164,13 +170,9 @@ def _kernel(jet: CoefficientJet, t: float, x: ArrayLike, y: ArrayLike, z: ArrayL
         c = _coefficients(jet, t, x, z, order)
         d = np.subtract(x, y, dtype=float)
         inv_var = np.divide(-0.5, t * jet.a * jet.a)
-        neg_q = np.multiply(d * d, inv_var)
-        alive = neg_q >= -EXP_ARG_MAX
-        out = np.zeros(np.broadcast(neg_q, *c).shape)
-        if len(c) > 1:
-            d = np.where(alive, d, 0.0)
-        out = _gauss_poly(c, d, neg_q, alive, out)
-    _check_finite(t, inv_var, out)
+        shape = np.broadcast(d, inv_var, *c).shape
+        out = _gauss_poly(c, inv_var, d, np.empty(shape), np.empty(shape, bool), np.zeros(shape))
+    _check_finite(t, inv_var, out, *c)
     return out[()] if out.ndim == 0 else out
 
 
@@ -188,12 +190,12 @@ def _kernel_rows(spec: KernelSpec, t: float, x: np.ndarray, y: np.ndarray):
         yield rows, kernel_eval(spec, t, x[rows, None], y[None, :])
 
 
-def _weighted_block(spec: KernelSpec, t: float, x: np.ndarray, w: np.ndarray,
-                    dx: float) -> np.ndarray:
-    """kernel_eval(spec, t, x[:, None], x[None, :]) * w bit for bit, for nodes
-    x dx apart.  At z = x each chunk of rows evaluates, in reused buffers,
-    only the union of its rows' live columns |x - y| <= sqrt(2 EXP_ARG_MAX t)
-    a (widened by 1e-9 of itself and by dx); the rest keep np.zeros' +0.0."""
+def _weighted_block(spec: KernelSpec, t: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """kernel_eval(spec, t, x[:, None], x[None, :]) * w bit for bit, for
+    increasing nodes x.  At z = x each chunk of rows evaluates, in reused
+    buffers, only the union of its rows' live columns |x - y| <= sqrt(2
+    EXP_ARG_MAX t) a (widened by 1e-9 of itself and by one node on each side);
+    the rest keep np.zeros' +0.0, the kernel's value there."""
     mat = np.zeros((x.size, x.size))
     if spec.basepoint is not BasepointRule.AT_X:
         for rows, k in _kernel_rows(spec, t, x, x):
@@ -203,26 +205,19 @@ def _weighted_block(spec: KernelSpec, t: float, x: np.ndarray, w: np.ndarray,
     with np.errstate(all="ignore"):  # a kernel that is not finite raises below
         c = [np.broadcast_to(ck, x.shape) for ck in _coefficients(jet, t, x, x, spec.order)]
         inv_var = np.broadcast_to(np.divide(-0.5, t * jet.a * jet.a), x.shape)
-        half = sqrt(2.0 * EXP_ARG_MAX * t) * (1.0 + 1e-9) * jet.a + dx
+        _check_finite(t, inv_var, *c)
+        half = sqrt(2.0 * EXP_ARG_MAX * t) * (1.0 + 1e-9) * jet.a
         lo, hi = np.searchsorted(x, x - half), np.searchsorted(x, x + half, side="right")
-        # a dead entry is 0 * C_0 w: -0.0 on a row whose C_0 is negative, so it is evaluated whole
-        lo[np.signbit(c[0])], hi[np.signbit(c[0])] = 0, x.size
         floats = np.empty((2, _CHUNK_ROWS * x.size))
-        masks = np.empty(floats.shape, bool)
+        mask = np.empty(floats.shape[1], bool)
         for start in range(0, x.size, _CHUNK_ROWS):
             rows = slice(start, min(start + _CHUNK_ROWS, x.size))
-            band = slice(lo[rows].min(), hi[rows].max())
+            band = slice(max(lo[rows].min() - 1, 0), min(hi[rows].max() + 1, x.size))
             shape = (rows.stop - start, band.stop - band.start)
-            size = shape[0] * shape[1]
-            d, neg_q, alive, dead = (b[:size].reshape(shape) for b in (*floats, *masks))
+            d, neg_q, alive = (b[:shape[0] * shape[1]].reshape(shape) for b in (*floats, mask))
             np.subtract(x[rows, None], x[None, band], out=d)
-            np.multiply(d, d, out=neg_q)
-            neg_q *= inv_var[rows, None]
-            np.greater_equal(neg_q, -EXP_ARG_MAX, out=alive)
-            if len(c) > 1:
-                np.copyto(d, 0.0, where=np.logical_not(alive, out=dead))
-            out = _gauss_poly([ck[rows, None] for ck in c], d, neg_q, alive, mat[rows, band],
-                              buf=neg_q)
-            _check_finite(t, inv_var[rows], out)
+            out = _gauss_poly([ck[rows, None] for ck in c], inv_var[rows, None], d, neg_q, alive,
+                              mat[rows, band])
+            _check_finite(t, out)
             out *= w[band]
     return mat

@@ -369,12 +369,14 @@ def curve_greeks(curve: PriceCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """Central-difference delta and gamma on a curve's own nodes.
 
     Returns (x_inner, delta, gamma) on the interior nodes; the step is the
-    curve's grid spacing.
+    curve's grid spacing, which must be uniform to a relative 1e-9.
     """
     x = curve.x
     if len(x) < 3:
         raise DomainError("need at least 3 samples for curve Greeks")
     dx = x[1] - x[0]
+    if np.any(np.abs(np.diff(x) - dx) > 1e-9 * dx):
+        raise DomainError("curve Greeks need evenly spaced samples")
     u = curve.values
     delta = (u[2:] - u[:-2]) / (2.0 * dx)
     gamma = (u[2:] + u[:-2] - 2.0 * u[1:-1]) / dx**2

@@ -30,6 +30,7 @@ from lvkernel import (
     kernel_matrix,
     price_curve,
 )
+from lvkernel.kernel import _weighted_block
 
 # reference sup-norm errors of the 10-step order-2 composition for the
 # lognormal model with K=20, sigma=0.5, r=0.1, measured over (0, 40]
@@ -63,6 +64,12 @@ class TestBootstrapConfig:
             BootstrapConfig(spec, t_total=-1.0, n_steps=10, grid=grid)
         with pytest.raises(DomainError):
             BootstrapConfig(spec, t_total=1.0, n_steps=0, grid=grid)
+        # a step count must be an integer: a float cannot count the hops, and
+        # a bool is not a count
+        for n_steps in (2.5, 10.0, True, np.float64(3.0), "10", np.int64(0)):
+            with pytest.raises(DomainError, match="^n_steps must be an integer at least 1"):
+                BootstrapConfig(spec, t_total=1.0, n_steps=n_steps, grid=grid)
+        assert BootstrapConfig(spec, 1.0, np.int64(4), grid).tau == 0.25
 
     def test_substep_length(self):
         spec = KernelSpec(MODEL, order=2)
@@ -106,12 +113,12 @@ BAND_GRIDS = {
 BAND_TAUS = (0.0125, 0.025, 0.05, 0.1, 0.2)
 
 
-def _assert_dense_bytes(spec, tau, grid):
-    """kernel_matrix and its row sums carry the bytes of kernel_eval * w,
-    evaluated dense 64 rows at a time: an out-of-band -0.0 or a stray
-    subnormal fails."""
-    mat, mass = kernel_matrix(spec, tau, grid)
-    xs, w = grid.nodes, grid.weights
+def _assert_dense_bytes(spec, tau, xs, w):
+    """The block on increasing nodes xs with weights w, and its row sums,
+    carry the bytes of kernel_eval * w, evaluated dense 64 rows at a time: an
+    out-of-band -0.0 or a stray subnormal fails."""
+    mat = _weighted_block(spec, tau, xs, w)
+    mass = mat.sum(axis=1)
     for start in range(0, xs.size, 64):
         rows = slice(start, start + 64)
         want = kernel_eval(spec, tau, xs[rows, None], xs[None, :]) * w
@@ -128,7 +135,17 @@ class TestKernelMatrixBand:
     def test_bit_for_bit_with_dense_evaluation(self, model, grid):
         for order in (0, 1, 2):
             for tau in BAND_TAUS:
-                _assert_dense_bytes(KernelSpec(BAND_MODELS[model], order), tau, BAND_GRIDS[grid])
+                _assert_dense_bytes(KernelSpec(BAND_MODELS[model], order), tau,
+                                    BAND_GRIDS[grid].nodes, BAND_GRIDS[grid].weights)
+
+    @pytest.mark.parametrize("model", ["bsm", "cev"])
+    def test_bit_for_bit_on_uneven_nodes(self, model):
+        # the band is found from the nodes alone: no spacing enters the build
+        xs = np.geomspace(1e-3, 1200.0, 1001)
+        w = np.random.default_rng(3).uniform(0.5, 2.0, xs.size) * np.gradient(xs)
+        for order in (0, 1, 2):
+            for tau in (0.0125, 0.1):
+                _assert_dense_bytes(KernelSpec(BAND_MODELS[model], order), tau, xs, w)
 
     def test_band_edges_across_chunk_edges(self, monkeypatch):
         # 7-row chunks: the union of the live columns changes inside what
@@ -137,19 +154,23 @@ class TestKernelMatrixBand:
         for order in (0, 1, 2):
             for tau in BAND_TAUS:
                 _assert_dense_bytes(KernelSpec(BAND_MODELS["cev"], order), tau,
-                                    BAND_GRIDS["regular"])
+                                    BAND_GRIDS["regular"].nodes, BAND_GRIDS["regular"].weights)
 
-    def test_rows_with_negative_mass_keep_their_signed_zeros(self):
-        # at order 2 the CEV kernel at spot 1e-6 has C_0 < 0, so its dead
-        # entries are 0 * C_0 * w = -0.0, not the +0.0 of an unevaluated entry
-        spec = KernelSpec(BAND_MODELS["cev"], 2)
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_dead_entries_are_plus_zero_whatever_the_sum(self, order):
+        # CEV from spot 1e-6: at order 2 the first row's C_0 is negative, and
+        # at order 1 the sum is negative at large x - y; every dead entry is
+        # still the kernel's +0.0, in the band as outside it
+        spec = KernelSpec(BAND_MODELS["cev"], order)
         grid = SpatialGrid(1e-6, 3.0, 0.01)
         mat, _ = kernel_matrix(spec, 0.0125, grid)
-        assert np.signbit(mat[0, -1]) and mat[0, -1] == 0.0
-        _assert_dense_bytes(spec, 0.0125, grid)
+        assert mat[0, -1] == 0.0 and not np.signbit(mat[0, -1])
+        assert not np.any(np.signbit(mat[mat == 0.0]))
+        _assert_dense_bytes(spec, 0.0125, grid.nodes, grid.weights)
 
-    def test_errors_keep_their_type_and_message(self):
-        spec = KernelSpec(BSMModel(sigma=0.3), order=2)
+    @pytest.mark.parametrize("rule", list(BasepointRule))
+    def test_errors_keep_their_type_and_message(self, rule):
+        spec = KernelSpec(BSMModel(sigma=0.3), order=2, basepoint=rule)
         with pytest.raises(DegenerateCoefficient,
                            match=r"^the kernel is not finite at t=0\.1: a\*sqrt\(t\) is out of range$"):
             kernel_matrix(spec, 0.1, SpatialGrid(1e-45, 2.0, 0.01))
@@ -160,8 +181,8 @@ class TestKernelMatrixBand:
 
     def test_peak_memory_is_the_matrix_and_reused_chunk_buffers(self):
         # allocating each chunk's temporaries afresh, the build peaked at
-        # n^2*8 plus 5.3 blocks of 64 rows; with two float buffers and two
-        # masks reused across chunks it peaks at 2.7
+        # n^2*8 plus 5.3 blocks of 64 rows; with two float buffers and one
+        # mask reused across chunks it peaks at 2.6
         grid = SpatialGrid.regular(200.0, 0.1)
         n = grid.n_nodes
         spec = KernelSpec(BSMModel(sigma=0.5, r=0.1), order=2)

@@ -3,6 +3,9 @@ kernels, their analytic reductions at the diagonal basepoint, mass
 identities, convergence of every basepoint rule off the diagonal, and the one
 Gaussian-times-polynomial form against the Hermite-series formula."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import herme2poly, hermeval
@@ -316,3 +319,57 @@ class TestOneKernelForm:
         want = _hermite_series_kernel(model, order, rule, tau, 0.1, y)
         peak = 1.0 / np.sqrt(2.0 * np.pi * tau * a * a)
         assert np.all(np.abs(got - want) <= 1e-14 * peak)
+
+
+@functools.lru_cache(maxsize=None)
+def _generator_taylor_terms(x, exponent):
+    """Rows j = 0..4 of L^i f_j(x), i = 0..8, f_j(y) = (y - x)^j, for the
+    power-law model a = 0.3 y^exponent, b = 0.1 y, c = -0.1, by sympy."""
+    sp = pytest.importorskip("sympy")
+    y, x = sp.Symbol("y", positive=True), sp.Integer(x)
+    sigma, r = sp.Rational("3/10"), sp.Rational("1/10")
+    a = sigma * y ** sp.Rational(exponent)
+    terms = np.empty((5, 9))
+    for j in range(5):
+        g = (y - x) ** j
+        for i in range(9):
+            terms[j, i] = float(g.subs(y, x))
+            g = sp.expand(a * a / 2 * sp.diff(g, y, 2) + r * y * sp.diff(g, y) - r * g)
+    return terms
+
+
+class TestMomentCertificate:
+    """The kernel's moments at z = x against the semigroup's Taylor series.
+
+    For f_j(y) = (y - x)^j the true moment is sum_{i <= 8} t^i/i! L^i f_j(x),
+    L = a^2/2 d^2 + b d + c, applied exactly by sympy; the kernel's moment is
+    a fine Simpson sum in y.  As t halves from 0.02 to 0.0025 the log2 slope
+    of each gap is at least ROADMAP item 7's value less 0.15: floor(j/2) + 1
+    at order 0, ceil(j/2) + 1 at order 1 and floor(j/2) + 2 at order 2
+    (measured to within 0.01 here).
+    """
+
+    X = 20
+    TIMES = (0.02, 0.01, 0.005, 0.0025)
+    SLOPES = {0: (1, 1, 2, 2, 3), 1: (1, 2, 2, 3, 3), 2: (2, 2, 3, 3, 4)}
+    # name: (model, the exponent of a as sympy reads it)
+    MODELS = {
+        "bsm": (BSMModel(sigma=0.3, r=0.1), "1"),
+        "cev": (CEVModel(sigma=0.3, alpha=2.0 / 3.0, r=0.1), "2/3"),
+    }
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_moment_errors_fall_at_the_expansion_order(self, name, order):
+        model, exponent = self.MODELS[name]
+        terms = _generator_taylor_terms(self.X, exponent)
+        spec, x, j = KernelSpec(model, order), float(self.X), np.arange(5)
+        gaps = []
+        for t in self.TIMES:
+            s = model.jet(x).a * np.sqrt(t)
+            ys = np.linspace(x - 16.0 * s, x + 16.0 * s, 2001)
+            moments = simpson(kernel_eval(spec, t, x, ys) * (ys - x) ** j[:, None], x=ys)
+            true = terms @ (t ** np.arange(9) / [math.factorial(i) for i in range(9)])
+            gaps.append(np.abs(moments - true))
+        slopes = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
+        assert np.all(slopes >= np.array(self.SLOPES[order]) - 0.15), f"slopes (t, j) {slopes}"

@@ -501,3 +501,12 @@ class TestGreeks:
         curve = PriceCurve(np.array([1.0, 2.0]), np.array([0.5, 0.7]))
         with pytest.raises(DomainError):
             curve_greeks(curve)
+
+    def test_curve_greeks_need_even_spacing(self):
+        # differenced at x[1] - x[0], u = x^2 on these nodes would read delta
+        # [7.5, 30] and gamma [9, 36], where the true values are [4, 8] and 2
+        from lvkernel import PriceCurve
+
+        x = np.array([1.0, 2.0, 4.0, 8.0])
+        with pytest.raises(DomainError, match="^curve Greeks need evenly spaced samples$"):
+            curve_greeks(PriceCurve(x, x * x))
