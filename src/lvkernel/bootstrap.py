@@ -18,7 +18,7 @@ from .errors import DomainError, GridTooCoarseWarning
 from .grid import PriceCurve, SpatialGrid
 from .kernel import KernelSpec, _hermite_coefficients, _weighted_block
 from .models import Model
-from .pricing import CallPayoff, Payoff, _why_no_closed_form, price_curve
+from .pricing import CallPayoff, Payoff, _past_ends, _why_no_closed_form, price_curve
 
 __all__ = [
     "BootstrapConfig",
@@ -70,9 +70,8 @@ def _mass_check(spec: KernelSpec, tau: float, grid: SpatialGrid,
                 mass: np.ndarray) -> None:
     """Warn when quadrature fails to resolve the kernel on usable rows.
 
-    Only rows whose kernel both fits inside the grid (support within six
-    standard deviations, beyond which the Gaussian tail is under 1e-9) and
-    is resolvable (width at least two grid steps) are held to the mass
+    Only rows whose kernel both fits inside the grid (pricing._past_ends)
+    and is resolvable (width at least two grid steps) are held to the mass
     tolerance.  Unresolvable rows near the left cutoff are expected for
     vanishing-at-zero diffusions and go unchecked, although a put carries
     payoff mass there and its composed price can blow up unreported
@@ -81,9 +80,8 @@ def _mass_check(spec: KernelSpec, tau: float, grid: SpatialGrid,
     xs = grid.nodes
     jet = spec.model.jet(xs)
     width = jet.a * np.sqrt(tau)
-    inside = (xs - 6.0 * width >= grid.x_min) & (xs + 6.0 * width <= grid.x_max)
-    resolved = width >= 2.0 * grid.dx
-    gated = inside & resolved
+    left, right = _past_ends(grid, xs, width)
+    gated = ~(left | right) & (width >= 2.0 * grid.dx)
     if not np.any(gated):
         warnings.warn(
             "no grid row resolves the sub-step kernel (dx too large or grid "

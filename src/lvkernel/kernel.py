@@ -135,26 +135,20 @@ def _check_finite(t: float, *arrays) -> None:
         raise DegenerateCoefficient(f"the kernel is not finite at t={t}: a*sqrt(t) is out of range")
 
 
-def _gauss_poly(c: list, inv_var, d, neg_q, alive, out):
-    """exp(-q) sum_k C_k d^k into out, zeros on entry, where q = -d^2 inv_var
-    <= EXP_ARG_MAX; out keeps its +0.0 elsewhere, whatever the sum is there.
-
-    neg_q and alive, of out's shape, take -q and the live mask; then neg_q
-    takes the Horner sum, zeroed where dead, and alive the dead mask.  At
-    order 0 the sum is C_0 > 0, which keeps the +0.0 as it is.
-    """
+def _gauss_poly(c: list, inv_var, d, neg_q, dead, out):
+    """exp(-q) sum_k C_k d^k into out where q = -d^2 inv_var <= EXP_ARG_MAX,
+    +0.0 elsewhere whatever the sum is.  neg_q and dead, of out's shape, are
+    scratch: neg_q for -q and then the sum, dead for the mask q > EXP_ARG_MAX."""
     np.multiply(d, d, out=neg_q)
     neg_q *= inv_var
-    np.greater_equal(neg_q, -EXP_ARG_MAX, out=alive)
-    np.exp(neg_q, out=out, where=alive)
-    poly = c[0]
-    if len(c) > 1:
-        poly = np.multiply(c[-1], d, out=neg_q)
-        for ck in reversed(c[1:-1]):
-            poly += ck
-            poly *= d
-        poly += c[0]
-        np.copyto(poly, 0.0, where=np.logical_not(alive, out=alive))
+    np.less(neg_q, -EXP_ARG_MAX, out=dead)
+    np.exp(neg_q, out=out)
+    poly = neg_q
+    poly[...] = c[-1]
+    for ck in reversed(c[:-1]):
+        poly *= d
+        poly += ck
+    np.copyto(poly, 0.0, where=dead)
     return np.multiply(out, poly, out=out)
 
 
@@ -171,7 +165,7 @@ def _kernel(jet: CoefficientJet, t: float, x: ArrayLike, y: ArrayLike, z: ArrayL
         d = np.subtract(x, y, dtype=float)
         inv_var = np.divide(-0.5, t * jet.a * jet.a)
         shape = np.broadcast(d, inv_var, *c).shape
-        out = _gauss_poly(c, inv_var, d, np.empty(shape), np.empty(shape, bool), np.zeros(shape))
+        out = _gauss_poly(c, inv_var, d, np.empty(shape), np.empty(shape, bool), np.empty(shape))
     _check_finite(t, inv_var, out, *c)
     return out[()] if out.ndim == 0 else out
 
@@ -214,9 +208,9 @@ def _weighted_block(spec: KernelSpec, t: float, x: np.ndarray, w: np.ndarray) ->
             rows = slice(start, min(start + _CHUNK_ROWS, x.size))
             band = slice(max(lo[rows].min() - 1, 0), min(hi[rows].max() + 1, x.size))
             shape = (rows.stop - start, band.stop - band.start)
-            d, neg_q, alive = (b[:shape[0] * shape[1]].reshape(shape) for b in (*floats, mask))
+            d, neg_q, dead = (b[:shape[0] * shape[1]].reshape(shape) for b in (*floats, mask))
             np.subtract(x[rows, None], x[None, band], out=d)
-            out = _gauss_poly([ck[rows, None] for ck in c], inv_var[rows, None], d, neg_q, alive,
+            out = _gauss_poly([ck[rows, None] for ck in c], inv_var[rows, None], d, neg_q, dead,
                               mat[rows, band])
             _check_finite(t, out)
             out *= w[band]

@@ -1,12 +1,12 @@
 """Local-volatility model definitions and their coefficient jets.
 
-A model is a provider of the jet of the operator coefficients
+A model is its jet: the values and derivatives of the operator coefficients
 
-    L = 1/2 a(t,x)^2 d^2/dx^2 + b(t,x) d/dx + c(t,x)
+    L = 1/2 a(t,x)^2 d^2/dx^2 + b(x) d/dx + c(x)
 
-evaluated at (t=0, z).  The jet is the only thing the kernel formulas ever
-see; the full coefficient functions are additionally exposed for the PDE
-reference solver.  The built-in models are one power-law family,
+at (t=0, z).  The jet is all that anything reads, the kernel formulas and
+the Crank-Nicolson reference solver alike, and time enters only as
+a(t, z) = a + t da_dt.  The built-in models are one power-law family,
 a(t,x) = (sigma + sigma_dot0 t) x^alpha, b = r x, c = -r, 0 < alpha <= 1, of
 which BSMModel fixes alpha = 1 and sigma_dot0 = 0, TimeDependentBSMModel
 alpha = 1 and CEVModel sigma_dot0 = 0; CustomModel takes any jet.
@@ -120,10 +120,6 @@ class Model(ABC):
     def jet(self, z: ArrayLike) -> CoefficientJet:
         """Exact analytic coefficient jet at (t=0, z).  z may be an array."""
 
-    @abstractmethod
-    def coefficients(self, t: float, x: ArrayLike) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
-        """Raw coefficient functions (a, b, c) at (t, x), for PDE reference solves."""
-
     @property
     def is_time_dependent(self) -> bool:
         return False
@@ -173,11 +169,6 @@ class _PowerLaw(Model):
                               da_dt=sigma_dot0 * z_alpha if sigma_dot0 else zero,
                               b=r * z, db_dx=r + zero, c=-r + zero).validate()
 
-    def coefficients(self, t: float, x: ArrayLike):
-        sigma, sigma_dot0, alpha, r = self._params
-        x = np.asarray(x, dtype=float)
-        return (sigma + sigma_dot0 * t) * x**alpha, r * x, -r
-
     @property
     def is_time_dependent(self) -> bool:
         return self._params[1] != 0.0
@@ -225,10 +216,6 @@ class CustomModel(Model):
         if not isinstance(jet, CoefficientJet):
             raise DomainError("custom jet function must return a CoefficientJet")
         return jet.validate()
-
-    def coefficients(self, t: float, x: ArrayLike):
-        jet = self.jet(x)
-        return jet.a + t * jet.da_dt, jet.b, jet.c
 
     @property
     def is_time_dependent(self) -> bool:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DomainError, SingularMatrix
 from .grid import PriceCurve, SpatialGrid
-from .models import BSMModel, CEVModel, Model
+from .models import BSMModel, CEVModel, CoefficientJet, Model, TimeDependentBSMModel
 from .pricing import CallPayoff, Payoff, _norm_cdf
 
 __all__ = [
@@ -139,19 +139,19 @@ class CNConfig:
         return max(1, int(round(self.t_total / self.dt)))
 
 
-def _operator_bands(model: Model, t: float, xs: np.ndarray, dx: float):
+def _operator_bands(jet: CoefficientJet, t: float, dx: float, m: int):
     """Tridiagonal bands (sub, diag, super) of the spatial operator
-    1/2 a^2 u'' + b u' + c u at the interior nodes xs[1:-1]."""
-    xi = xs[1:-1]
-    a, b, c = model.coefficients(t, xi)
+    1/2 a^2 u'' + b u' + c u at time t, from the jet of the m interior
+    nodes: a = jet.a + t jet.da_dt, b and c as they are."""
     # in place where the result is new: this runs once per time step
-    diff = np.multiply(0.5, a, out=np.empty(xi.shape))
+    a = np.add(jet.a, t * jet.da_dt, out=np.empty(m))
+    diff = np.multiply(0.5, a, out=np.empty(m))
     diff *= a
     diff /= dx**2
-    adv = np.divide(b, 2.0 * dx, out=np.empty(xi.shape))
+    adv = np.divide(jet.b, 2.0 * dx, out=np.empty(m))
     lo = diff - adv          # coefficient of u_{i-1}
     mid = diff * -2.0        # coefficient of u_i
-    mid += c
+    mid += jet.c
     hi = diff                # coefficient of u_{i+1}
     hi += adv
     return lo, mid, hi
@@ -160,6 +160,7 @@ def _operator_bands(model: Model, t: float, xs: np.ndarray, dx: float):
 def cn_solve(model: Model, config: CNConfig, payoff: Payoff) -> PriceCurve:
     """Crank-Nicolson time stepping of du/dt = 1/2 a^2 u'' + b u' + c u.
 
+    The coefficients are one jet of the interior nodes, a(t) = a + t da_dt.
     Initial data is the payoff sampled on the grid.  Lower boundary: Dirichlet
     u(t, x_min) = h(x_min) exp(c(x_min) t) (zero for calls and butterflies).
     Upper boundary: zero second derivative, folded into the last interior row
@@ -181,8 +182,8 @@ def cn_solve(model: Model, config: CNConfig, payoff: Payoff) -> PriceCurve:
 
     u = np.asarray(payoff(xs), dtype=float).copy()
     h0 = u[0]
-    _, _, c_left = model.coefficients(0.0, xs[0])
-    c_left = float(np.asarray(c_left))
+    c_left = float(model.jet(xs[0]).c)
+    jet = model.jet(xs[1:-1])
 
     def implicit(bands):
         """Sub-, main and super-diagonal of I - dt/2 * A over unknowns
@@ -202,7 +203,7 @@ def cn_solve(model: Model, config: CNConfig, payoff: Payoff) -> PriceCurve:
 
     # the bands at t_new of one step are the explicit bands of the next, and
     # stay fixed when the coefficients do not depend on time
-    bands = _operator_bands(model, 0.0, xs, dx)
+    bands = _operator_bands(jet, 0.0, dx, n - 2)
     time_dep = model.is_time_dependent
     if not time_dep:
         sub, diag, sup = implicit(bands)
@@ -223,7 +224,7 @@ def cn_solve(model: Model, config: CNConfig, payoff: Payoff) -> PriceCurve:
         rhs[1:] += step
         rhs[0] = h0 * np.exp(c_left * t_new)
         if time_dep:
-            bands = _operator_bands(model, t_new, xs, dx)
+            bands = _operator_bands(jet, t_new, dx, n - 2)
             sub, diag, sup = implicit(bands)
             *_, sol, info = dgtsv(sub, diag, sup, rhs, True, True, True, True)
             if info != 0:  # pragma: no cover
@@ -245,14 +246,19 @@ def _reference(name: str, model: Model, payoff: Payoff,
     `grid` itself with dt = min(1e-3, t/200), so the grid's span and spacing
     set its error: on 12:18:1 a BSM call (sigma=0.3, r=0.1, K=15, t=0.5)
     reads 0 at x=12 and 3.06 at x=18, where bs_exact gives 0.323 and 3.97.
+    bs-exact is exact for BSM and TD-BSM alike: a TD-BSM call is bs_exact at
+    the mean variance sigma^2 + sigma sigma_dot0 t + sigma_dot0^2 t^2 / 3.
     """
     xs = grid.nodes
     if name == "bs-exact":
-        if not isinstance(model, BSMModel):
-            raise DomainError("the bs-exact oracle needs a 'bsm' model")
+        if not isinstance(model, (BSMModel, TimeDependentBSMModel)):
+            raise DomainError("the bs-exact oracle needs a 'bsm' or 'tdbsm' model")
         if not isinstance(payoff, CallPayoff):
             raise DomainError("the bs-exact oracle compares call payoffs only")
-        return lambda t: bs_exact(t, payoff.strike, xs, model.sigma, model.r)
+        s, s_dot = model.sigma, getattr(model, "sigma_dot0", 0.0)
+        # the mean of (s + s_dot u)^2 over [0, t]; at s_dot = 0, sqrt(s * s) is s
+        return lambda t: bs_exact(t, payoff.strike, xs, math.sqrt(
+            s * s + s * s_dot * t + (s_dot * t) ** 2 / 3.0), model.r)
     if name == "hagan-woodward":
         if not isinstance(model, CEVModel):
             raise DomainError("the hagan-woodward oracle needs a 'cev' model")

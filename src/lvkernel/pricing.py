@@ -279,7 +279,9 @@ def price_quadrature(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike,
     On an even interval count of at least 4 the value is recomputed on every
     second grid node; a difference beyond 1e-6*(1+|value|) emits
     GridTooCoarseWarning (the coarse comparison bounds the fine-grid
-    quadrature error conservatively).  Silence it with the warnings module.
+    quadrature error conservatively), as does, once per call, a kernel that
+    reaches past an end node where the payoff, dropped beyond, is not 0.
+    Silence it with the warnings module.
     """
     return _quadrature(spec, t, payoff, x, grid)
 
@@ -309,7 +311,18 @@ def _quadrature(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike,
                 GridTooCoarseWarning,
                 stacklevel=3,
             )
+    left, right = _past_ends(grid, xa, spec.model.jet(xa).a * np.sqrt(t))
+    if (hy[0] != 0.0 and left.any()) or (hy[-1] != 0.0 and right.any()):
+        warnings.warn(f"a kernel reaches past the grid [{grid.x_min:g}, {grid.x_max:g}], where "
+                      "the payoff is not 0: quadrature drops the payoff beyond",
+                      GridTooCoarseWarning, stacklevel=3)
     return float(vals[0]) if scalar else vals
+
+
+def _past_ends(grid: SpatialGrid, x: np.ndarray, width: np.ndarray):
+    """Whether the kernel at x, of width a(x) sqrt(t), reaches past the grid's
+    first and last node: six widths, past which the Gaussian tail is < 1e-9."""
+    return x - 6.0 * width < grid.x_min, x + 6.0 * width > grid.x_max
 
 
 def price_curve(spec: KernelSpec, t: float, payoff: Payoff, grid: SpatialGrid,

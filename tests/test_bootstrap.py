@@ -417,13 +417,14 @@ class TestErrorTableOracles:
 
     def test_default_oracle_must_fit_the_model(self, monkeypatch):
         # bs-exact reads sigma and r from the model, so it prices only the
-        # lognormal model, and a CEV model is rejected before any solve
+        # lognormal models, and a CEV model is rejected before any solve
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the oracle was checked")
 
         monkeypatch.setattr("lvkernel.bootstrap.bootstrap_solve", no_solve)
         model = CEVModel(sigma=0.3, alpha=2.0 / 3.0, r=0.1)
-        with pytest.raises(DomainError, match="the bs-exact oracle needs a 'bsm' model"):
+        with pytest.raises(DomainError,
+                           match="the bs-exact oracle needs a 'bsm' or 'tdbsm' model"):
             bootstrap_error_table(model, 15.0, [0.2], 4, SpatialGrid.regular(30.0, 0.1))
 
     def test_window_past_the_grid_rejected(self):

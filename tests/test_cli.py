@@ -454,7 +454,7 @@ class TestOracleFitsBeforeSolve:
         "bootstrap-bs-exact-cev": (
             ["bootstrap", "--model", CEV_JSON, *BOOTSTRAP_ARGS, "--payoff", "call",
              "--compare-oracle", "bs-exact"],
-            "the bs-exact oracle needs a 'bsm' model\n"),
+            "the bs-exact oracle needs a 'bsm' or 'tdbsm' model\n"),
         "bootstrap-bs-exact-put": (
             ["bootstrap", "--model", BSM_JSON, *BOOTSTRAP_ARGS, "--payoff", "put",
              "--compare-oracle", "bs-exact"],
@@ -470,7 +470,7 @@ class TestOracleFitsBeforeSolve:
         "compare-bs-exact-cev": (
             ["compare", "--model", CEV_JSON, "--oracle", "bs-exact", "--method",
              "order1", *COMPARE_ARGS],
-            "the bs-exact oracle needs a 'bsm' model\n"),
+            "the bs-exact oracle needs a 'bsm' or 'tdbsm' model\n"),
         "compare-hagan-woodward-alpha-one": (
             ["compare", "--model", '{"kind": "cev", "sigma": 0.3, "alpha": 1.0}',
              "--oracle", "hagan-woodward", "--method", "order2", *COMPARE_ARGS],

@@ -339,14 +339,16 @@ def _generator_taylor_terms(x, exponent):
 
 
 class TestMomentCertificate:
-    """The kernel's moments at z = x against the semigroup's Taylor series.
+    """The kernel's moments at every basepoint rule against the semigroup's
+    Taylor series.
 
     For f_j(y) = (y - x)^j the true moment is sum_{i <= 8} t^i/i! L^i f_j(x),
-    L = a^2/2 d^2 + b d + c, applied exactly by sympy; the kernel's moment is
-    a fine Simpson sum in y.  As t halves from 0.02 to 0.0025 the log2 slope
-    of each gap is at least ROADMAP item 7's value less 0.15: floor(j/2) + 1
-    at order 0, ceil(j/2) + 1 at order 1 and floor(j/2) + 2 at order 2
-    (measured to within 0.01 here).
+    L = a^2/2 d^2 + b d + c, applied exactly by sympy once per model; the
+    kernel's moment is a fine Simpson sum in y.  As t halves from 0.02 to
+    0.0025 the log2 slope of each gap is at least ROADMAP item 7's value less
+    0.15: floor(j/2) + 1 at order 0, ceil(j/2) + 1 at order 1 and
+    floor(j/2) + 2 at order 2 (measured to within 0.01 at z = x, and within
+    0.1 at z = y and the midpoint).
     """
 
     X = 20
@@ -360,10 +362,11 @@ class TestMomentCertificate:
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     @pytest.mark.parametrize("name", sorted(MODELS))
-    def test_moment_errors_fall_at_the_expansion_order(self, name, order):
+    @pytest.mark.parametrize("rule", list(BasepointRule), ids=lambda r: r.value)
+    def test_moment_errors_fall_at_the_expansion_order(self, rule, name, order):
         model, exponent = self.MODELS[name]
         terms = _generator_taylor_terms(self.X, exponent)
-        spec, x, j = KernelSpec(model, order), float(self.X), np.arange(5)
+        spec, x, j = KernelSpec(model, order, rule), float(self.X), np.arange(5)
         gaps = []
         for t in self.TIMES:
             s = model.jet(x).a * np.sqrt(t)

@@ -28,11 +28,6 @@ FAMILY_SPOTS = [15.0, 1e-310, np.array([2.0, 10.0, 37.5]), np.array([1e-310, 1.0
 FAMILY_TIMES = (0.0, 0.37)
 
 
-def _assert_coefficients_equal(got, want):
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g, w)
-
-
 class TestJetValues:
     def test_lognormal_jet(self):
         jet = BSMModel(sigma=0.3, r=0.1).jet(15.0)
@@ -53,11 +48,13 @@ class TestJetValues:
             np.testing.assert_array_equal(jet.da_dt, 0.2 * np.asarray(z))
             for name in ("a", "da_dx", "d2a_dx2", "b", "db_dx", "c"):
                 np.testing.assert_array_equal(getattr(jet, name), getattr(base.jet(z), name))
-            # a(t, x) = (sigma + sigma_dot0 t) x: the lognormal a at the volatility of time t
+            # a + t da_dt = (sigma + sigma_dot0 t) x: the lognormal a at the
+            # volatility of time t, to rounding (absolutely at the subnormal spot)
             for t in FAMILY_TIMES:
-                moved = BSMModel(sigma=0.3 + 0.2 * t, r=0.1).coefficients(0.0, z)
-                _assert_coefficients_equal(model.coefficients(t, z), moved)
-                _assert_coefficients_equal(flat.coefficients(t, z), base.coefficients(t, z))
+                moved = BSMModel(sigma=0.3 + 0.2 * t, r=0.1).jet(z).a
+                np.testing.assert_allclose(jet.a + t * jet.da_dt, moved, rtol=1e-15, atol=1e-320)
+                flat_jet = flat.jet(z)
+                np.testing.assert_array_equal(flat_jet.a + t * flat_jet.da_dt, base.jet(z).a)
         assert model.is_time_dependent
         assert not flat.is_time_dependent and not base.is_time_dependent
 
@@ -79,8 +76,6 @@ class TestJetValues:
                 got, want = getattr(cev.jet(z), name), getattr(bsm.jet(z), name)
                 assert type(got) is type(want)
                 np.testing.assert_array_equal(got, want)
-            for t in FAMILY_TIMES:
-                _assert_coefficients_equal(cev.coefficients(t, z), bsm.coefficients(t, z))
         assert not cev.is_time_dependent and not bsm.is_time_dependent
 
     def test_jet_accepts_arrays(self):
@@ -96,8 +91,8 @@ class TestJetValues:
 
 
 class TestJetDerivativesAgainstFiniteDifferences:
-    """The analytic jet must agree with numerical derivatives of the raw
-    coefficient functions."""
+    """The analytic jet's derivatives must agree with finite differences of
+    its values."""
 
     MODELS = [
         BSMModel(sigma=0.3, r=0.1),
@@ -112,8 +107,9 @@ class TestJetDerivativesAgainstFiniteDifferences:
     def test_first_derivatives(self, model, z):
         jet = model.jet(z)
         h = 1e-5 * z
-        a_p = (model.coefficients(0.0, z + h)[0] - model.coefficients(0.0, z - h)[0]) / (2 * h)
-        b_p = (model.coefficients(0.0, z + h)[1] - model.coefficients(0.0, z - h)[1]) / (2 * h)
+        up, down = model.jet(z + h), model.jet(z - h)
+        a_p = (up.a - down.a) / (2 * h)
+        b_p = (up.b - down.b) / (2 * h)
         assert a_p == pytest.approx(jet.da_dx, rel=1e-6)
         assert b_p == pytest.approx(jet.db_dx, rel=1e-6, abs=1e-12)
 
@@ -122,18 +118,15 @@ class TestJetDerivativesAgainstFiniteDifferences:
     def test_second_derivative(self, model, z):
         jet = model.jet(z)
         h = 1e-4 * z
-        app = (
-            model.coefficients(0.0, z + h)[0]
-            + model.coefficients(0.0, z - h)[0]
-            - 2.0 * model.coefficients(0.0, z)[0]
-        ) / h**2
+        app = (model.jet(z + h).a + model.jet(z - h).a - 2.0 * jet.a) / h**2
         assert app == pytest.approx(jet.d2a_dx2, rel=1e-5, abs=1e-10)
 
     def test_time_slope(self):
+        # a(t) = (0.3 + 0.2 t) z is the lognormal a at volatility 0.3 + 0.2 t
         model = TimeDependentBSMModel(sigma=0.3, sigma_dot0=0.2, r=0.1)
         z = 15.0
         h = 1e-6
-        adot = (model.coefficients(h, z)[0] - model.coefficients(0.0, z)[0]) / h
+        adot = (BSMModel(0.3 + 0.2 * h, 0.1).jet(z).a - BSMModel(0.3, 0.1).jet(z).a) / h
         assert adot == pytest.approx(model.jet(z).da_dt, rel=1e-9)
 
 
@@ -289,9 +282,8 @@ class TestCustomModel:
         model = CustomModel(jet_fn=jet_fn)
         jet = model.jet(10.0)
         assert np.asarray(jet.a).item() == 2.0
-        a, b, c = model.coefficients(0.5, 10.0)
-        assert np.asarray(a).item() == 2.0
-        assert np.asarray(b).item() == 1.0
+        assert np.asarray(jet.b).item() == 1.0
+        assert np.asarray(jet.c).item() == -0.05
         assert model.is_time_dependent
 
     def test_custom_jet_must_return_jet_type(self):

@@ -16,9 +16,11 @@ from lvkernel import (
     CallPayoff,
     CEVModel,
     CNConfig,
+    CustomModel,
     DomainError,
     PutPayoff,
     SpatialGrid,
+    TimeDependentBSMModel,
     bs_delta,
     bs_exact,
     bs_gamma,
@@ -253,7 +255,8 @@ class TestReference:
         # hagan_woodward_vol needs beta < 1
         ("hagan-woodward", CEVModel(sigma=0.3, alpha=1.0, r=0.1), CallPayoff(15.0), GRID,
          "the hagan-woodward oracle needs a 'cev' alpha below 1"),
-        ("bs-exact", CEV, CallPayoff(15.0), GRID, "the bs-exact oracle needs a 'bsm' model"),
+        ("bs-exact", CEV, CallPayoff(15.0), GRID,
+         "the bs-exact oracle needs a 'bsm' or 'tdbsm' model"),
         ("bs-exact", BSM, PutPayoff(15.0), GRID, "the bs-exact oracle compares call payoffs only"),
         # cn_solve needs 4 nodes
         ("cn", BSM, CallPayoff(15.0), SpatialGrid(12.0, 14.0, 1.0),
@@ -265,6 +268,21 @@ class TestReference:
         with pytest.raises(DomainError) as info:
             _reference(name, model, payoff, grid)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_cn_converges_onto_bs_exact_for_tdbsm(self, t):
+        # TD-BSM is lognormal with a deterministic volatility: bs-exact prices
+        # it at the mean variance, and Crank-Nicolson reaches it at O(dx^2)
+        # (gaps 2.5e-5, 1.4e-5 and 6.6e-6 at dx = 0.05, a quarter at 0.025)
+        model = TimeDependentBSMModel(sigma=0.3, sigma_dot0=0.2, r=0.1)
+        gaps = []
+        for dx in (0.05, 0.025):
+            grid = SpatialGrid.regular(200.0, dx)
+            window = grid.nodes <= 40.0
+            cn = _reference("cn", model, CallPayoff(20.0), grid)(t)
+            exact = _reference("bs-exact", model, CallPayoff(20.0), grid)(t)
+            gaps.append(np.max(np.abs(cn - exact)[window]))
+        assert gaps[0] < 3e-5 and gaps[0] / gaps[1] >= 3.5, f"gaps {gaps}"
 
     def test_cn_is_cn_solve_with_the_step_rule(self):
         oracle = _reference("cn", self.CEV, PutPayoff(15.0), self.GRID)
@@ -352,6 +370,14 @@ class TestCrankNicolson:
         slopes = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         for s in slopes:
             assert 1.7 <= s <= 2.3, f"dx slopes {slopes}"
+
+    def test_steps_from_the_jet_alone(self):
+        # a custom model that returns TD-BSM's jet steps as TD-BSM, bit for bit
+        model = TimeDependentBSMModel(sigma=0.3, sigma_dot0=0.2, r=0.1)
+        config = CNConfig(SpatialGrid.regular(60.0, 0.01), dt=2.5e-3, t_total=0.5)
+        for payoff in (CallPayoff(15.0), PutPayoff(15.0)):
+            np.testing.assert_array_equal(cn_solve(CustomModel(model.jet), config, payoff).values,
+                                          cn_solve(model, config, payoff).values)
 
     def test_time_dependent_path_runs(self):
         from lvkernel import TimeDependentBSMModel

@@ -373,7 +373,19 @@ class TestQuadrature:
         spec = KernelSpec(BSMModel(sigma=0.3), order=0)
         with pytest.warns(GridTooCoarseWarning) as record:
             price(spec, SpatialGrid(10.0, 20.0, 0.1))
-        assert [w.filename for w in record] == [__file__]
+        # the coarse-grid defect, and the call's payoff dropped past x = 20
+        assert [w.filename for w in record] == [__file__, __file__]
+
+    def test_warns_when_the_payoff_past_the_grid_is_dropped(self):
+        # the call's payoff past x = 20 is dropped: 2.29 and 1.70 at x = 18
+        # and 20, where the closed form gives 3.16 and 5.15
+        spec, x = KernelSpec(BSMModel(sigma=0.3, r=0.1), order=2), np.array([18.0, 20.0])
+        with pytest.warns(GridTooCoarseWarning, match="drops the payoff") as record:
+            price_quadrature(spec, 0.1, CallPayoff(15.0), x, SpatialGrid(10.0, 20.0, 0.05))
+        assert len(record) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", GridTooCoarseWarning)
+            price_quadrature(spec, 0.1, CallPayoff(15.0), x, SpatialGrid(1.0, 40.0, 0.05))
 
     def test_block_is_evaluated_in_row_chunks(self):
         # evaluated whole, the midpoint rule's block-sized temporaries peak at
