@@ -10,22 +10,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import DomainError, GridTooCoarseWarning
 from .grid import PriceCurve, SpatialGrid
 from .kernel import KernelSpec, _hermite_coefficients, _weighted_block
-from .models import Model
-from .pricing import CallPayoff, Payoff, _past_ends, _why_no_closed_form, price_curve
+from .pricing import Payoff, _past_ends, _why_no_closed_form, price_curve
 
-__all__ = [
-    "BootstrapConfig",
-    "kernel_matrix",
-    "bootstrap_solve",
-    "bootstrap_error_table",
-]
+__all__ = ["BootstrapConfig", "kernel_matrix", "bootstrap_solve"]
 
 _MASS_TOL = 1e-4
 
@@ -128,37 +122,3 @@ def bootstrap_solve(config: BootstrapConfig, payoff: Payoff) -> PriceCurve:
         u = mat @ u
     return PriceCurve(grid.nodes, u)
 
-
-def bootstrap_error_table(model: Model, strike: float, times: Sequence[float],
-                          n_steps: int, grid: SpatialGrid, oracle: str = "bs-exact",
-                          window: Tuple[float, float] = (0.0, 40.0),
-                          ) -> List[Tuple[float, float]]:
-    """Sup-norm call-price error of the composed scheme against an oracle.
-
-    For each maturity in `times`, runs bootstrap_solve with KernelSpec(model),
-    order 2 at z = x, for a call struck at `strike` and reports the largest
-    absolute deviation from the named oracle (see oracles._reference, which
-    checks that it fits the model before any solve) over the grid nodes x
-    with window[0] < x <= window[1].  The window must end inside the grid,
-    where the composition keeps its mass.
-    """
-    # imported here: at module level it reorders the package import, which cost
-    # a fresh process about 3,400 more minor page faults and 50 ms of set-up
-    from .oracles import _reference
-
-    payoff = CallPayoff(strike)
-    oracle_at = _reference(oracle, model, payoff, grid)
-    if window[1] > grid.x_max:
-        raise DomainError(f"error window ends at {window[1]:g}, past the grid's "
-                          f"x_max {grid.x_max:g}")
-    spec = KernelSpec(model)
-    xs = grid.nodes
-    mask = (xs > window[0]) & (xs <= window[1])
-    out: List[Tuple[float, float]] = []
-    for t in times:
-        config = BootstrapConfig(spec=spec, t_total=float(t), n_steps=n_steps,
-                                 grid=grid)
-        curve = bootstrap_solve(config, payoff)
-        err = float(np.max(np.abs(curve.values[mask] - oracle_at(float(t))[mask])))
-        out.append((float(t), err))
-    return out

@@ -12,12 +12,11 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, bootstrap_solve
 from .errors import DegenerateCoefficient, DomainError
 from .grid import SpatialGrid
 from .kernel import KernelSpec, kernel_eval
 from .models import BasepointRule, Model, model_from_file, model_from_json
-from .oracles import _reference
+from .oracles import _ORACLES, _reference, _scored
 from .pricing import (
     ButterflyPayoff,
     CallPayoff,
@@ -50,7 +49,7 @@ def _fmt(v: float) -> str:
 # Every flag, declared once.  Where a subcommand declares a flag differently
 # (type, choices, default, required status or help), its own entry is keyed
 # "command --flag".  bootstrap's --compare-oracle is compare's --oracle.
-_ORACLE = dict(choices=["bs-exact", "hagan-woodward", "cn"], required=True)
+_ORACLE = dict(choices=_ORACLES, required=True)
 _FLAGS = {
     "--order": dict(type=int, required=True),
     "bootstrap --order": dict(type=int, default=2),
@@ -71,7 +70,7 @@ _FLAGS = {
     "--steps": dict(type=int, required=True),
     "compare --steps": dict(type=int, default=10, help="bootstrap sub-steps (method=bootstrap)"),
     "--times": dict(required=True, help="comma-separated maturities"),
-    "--basepoint": dict(choices=["atx", "aty", "mid"], default="atx"),
+    "--basepoint": dict(choices=[rule.value for rule in BasepointRule], default="atx"),
     "--method": dict(choices=["closed", "quadrature"], default="closed"),
     "compare --method": dict(choices=["order1", "order2", "bootstrap"], required=True),
     "--compare-oracle": _ORACLE,
@@ -215,40 +214,33 @@ def _run_greeks(model: Model, params: dict) -> str:
     return _csv("x,delta,gamma", [(spot, delta, gamma)])
 
 
+def _scored_rows(spec: KernelSpec, payoff: Payoff, grid: SpatialGrid, times: List[float],
+                 n_steps: Optional[int], oracle: str) -> list:
+    """(t, x, approximation, oracle, abs error) at every node and maturity;
+    an oracle that does not fit is a usage error, raised before any solve."""
+    oracle_at = _usage(_reference, oracle, spec.model, payoff, grid)
+    return [(t, x, a, o, abs(a - o))
+            for t, approx, ref in _scored(spec, payoff, grid, times, n_steps, oracle_at)
+            for x, a, o in zip(grid.nodes, approx, ref)]
+
+
 def _run_bootstrap(model: Model, params: dict) -> str:
     spec = _usage(KernelSpec, model, params["order"], BasepointRule(params["basepoint"]))
-    t = params["t"]
     payoff = _payoff_from_params(params)
     grid = _usage(SpatialGrid.regular, params["xmax"], params["dx"])
-    config = BootstrapConfig(spec=spec, t_total=t, n_steps=params["steps"],
-                             grid=grid)
-    oracle = _usage(_reference, params["compare_oracle"], model, payoff, grid)
-    curve = bootstrap_solve(config, payoff)
-    ref = oracle(t)
-    err = np.abs(curve.values - ref)
-    return _csv("x,value,oracle,abs_error",
-                zip(curve.x, curve.values, ref, err))
+    rows = _scored_rows(spec, payoff, grid, [params["t"]], params["steps"],
+                        params["compare_oracle"])
+    return _csv("x,value,oracle,abs_error", [row[1:] for row in rows])
 
 
 def _run_compare(model: Model, params: dict) -> str:
     method = params["method"]
     grid = _parse_grid(params["grid"])
     times = _parse_times(params["times"])
-    payoff = CallPayoff(params["strike"])
-    oracle = _usage(_reference, params["oracle"], model, payoff, grid)
     spec = _usage(KernelSpec, model, 1 if method == "order1" else 2,
                   BasepointRule(params["basepoint"]))
-
-    rows = []
-    for t in times:
-        if method == "bootstrap":
-            config = BootstrapConfig(spec=spec, t_total=t,
-                                     n_steps=params["steps"], grid=grid)
-            approx = bootstrap_solve(config, payoff).values
-        else:
-            approx = _price_closed_dispatch(spec, t, payoff, grid.nodes)
-        for x, a, o in zip(grid.nodes, approx, oracle(t)):
-            rows.append((t, x, a, o, abs(a - o)))
+    rows = _scored_rows(spec, CallPayoff(params["strike"]), grid, times,
+                        params["steps"] if method == "bootstrap" else None, params["oracle"])
     return _csv("t,x,approx,oracle,abs_error", rows)
 
 

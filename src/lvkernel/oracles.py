@@ -1,18 +1,21 @@
 """Independent reference prices: exact Black-Scholes, Hagan-Woodward implied
-volatility for CEV, and a Crank-Nicolson finite-difference solver."""
+volatility for CEV, and a Crank-Nicolson finite-difference solver; and the
+error of an approximation against them."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .bootstrap import BootstrapConfig, bootstrap_solve
 from .errors import DomainError, SingularMatrix
 from .grid import PriceCurve, SpatialGrid
+from .kernel import KernelSpec
 from .models import BSMModel, CEVModel, CoefficientJet, Model, TimeDependentBSMModel
-from .pricing import CallPayoff, Payoff, _norm_cdf
+from .pricing import CallPayoff, Payoff, _norm_cdf, _price_closed_dispatch
 
 __all__ = [
     "bs_exact",
@@ -23,6 +26,7 @@ __all__ = [
     "hagan_woodward_price",
     "CNConfig",
     "cn_solve",
+    "bootstrap_error_table",
 ]
 
 ArrayLike = Union[float, np.ndarray]
@@ -237,18 +241,24 @@ def cn_solve(model: Model, config: CNConfig, payoff: Payoff) -> PriceCurve:
     return PriceCurve(xs, u)
 
 
+_ORACLES = ("bs-exact", "hagan-woodward", "cn")  # _reference's names, as the CLI lists them
+
+
 def _reference(name: str, model: Model, payoff: Payoff,
                grid: SpatialGrid) -> Callable[[float], np.ndarray]:
     """The named oracle's prices at the grid nodes, as a function of maturity.
 
-    Raises DomainError, before anything is solved, for an unknown name or an
-    oracle that does not fit the model or the payoff.  cn runs cn_solve on
+    Raises DomainError, before anything is solved, for a name outside
+    _ORACLES or an oracle that does not fit the model or the payoff; every
+    caller of _scored resolves its oracle here first.  cn runs cn_solve on
     `grid` itself with dt = min(1e-3, t/200), so the grid's span and spacing
     set its error: on 12:18:1 a BSM call (sigma=0.3, r=0.1, K=15, t=0.5)
     reads 0 at x=12 and 3.06 at x=18, where bs_exact gives 0.323 and 3.97.
     bs-exact is exact for BSM and TD-BSM alike: a TD-BSM call is bs_exact at
     the mean variance sigma^2 + sigma sigma_dot0 t + sigma_dot0^2 t^2 / 3.
     """
+    if name not in _ORACLES:
+        raise DomainError(f"unknown oracle {name!r}")
     xs = grid.nodes
     if name == "bs-exact":
         if not isinstance(model, (BSMModel, TimeDependentBSMModel)):
@@ -268,8 +278,44 @@ def _reference(name: str, model: Model, payoff: Payoff,
             raise DomainError("the hagan-woodward oracle compares call payoffs only")
         return lambda t: hagan_woodward_price(t, payoff.strike, xs, model.sigma,
                                               model.alpha, model.r)
-    if name == "cn":
-        if grid.n_nodes < 4:
-            raise DomainError("the cn oracle needs a grid of at least 4 nodes")
-        return lambda t: cn_solve(model, CNConfig(grid, min(1e-3, t / 200.0), t), payoff).values
-    raise DomainError(f"unknown oracle {name!r}")
+    if grid.n_nodes < 4:
+        raise DomainError("the cn oracle needs a grid of at least 4 nodes")
+    return lambda t: cn_solve(model, CNConfig(grid, min(1e-3, t / 200.0), t), payoff).values
+
+
+def _scored(spec: KernelSpec, payoff: Payoff, grid: SpatialGrid, times: Sequence[float],
+            n_steps: Optional[int], oracle_at: Callable[[float], np.ndarray]) -> List[tuple]:
+    """For each maturity t, (t, the approximation at the grid nodes, the
+    oracle's prices there): bootstrap_solve over n_steps sub-steps, or the
+    closed form when n_steps is None, then oracle_at(t) from _reference."""
+    out = []
+    for t in times:
+        approx = (_price_closed_dispatch(spec, t, payoff, grid.nodes) if n_steps is None
+                  else bootstrap_solve(BootstrapConfig(spec, t, n_steps, grid), payoff).values)
+        out.append((t, approx, oracle_at(t)))
+    return out
+
+
+def bootstrap_error_table(model: Model, strike: float, times: Sequence[float],
+                          n_steps: int, grid: SpatialGrid, oracle: str = "bs-exact",
+                          window: Tuple[float, float] = (0.0, 40.0),
+                          ) -> List[Tuple[float, float]]:
+    """Sup-norm call-price error of the composed scheme against an oracle.
+
+    For each maturity in `times`, the largest absolute deviation of _scored's
+    approximation (KernelSpec(model), order 2 at z = x, a call struck at
+    `strike`, n_steps sub-steps) from the named oracle's prices over the grid
+    nodes x with window[0] < x <= window[1].  Before any solve, the oracle
+    must fit the model (see _reference) and the window must hold a grid node
+    and end inside the grid, where the composition keeps its mass.
+    """
+    payoff = CallPayoff(strike)
+    oracle_at = _reference(oracle, model, payoff, grid)
+    if window[1] > grid.x_max:
+        raise DomainError(f"error window ends at {window[1]:g}, past the grid's "
+                          f"x_max {grid.x_max:g}")
+    mask = (grid.nodes > window[0]) & (grid.nodes <= window[1])
+    if not np.any(mask):
+        raise DomainError(f"error window ({window[0]:g}, {window[1]:g}] holds no grid node")
+    scored = _scored(KernelSpec(model), payoff, grid, [float(t) for t in times], n_steps, oracle_at)
+    return [(t, float(np.max(np.abs(approx[mask] - ref[mask])))) for t, approx, ref in scored]

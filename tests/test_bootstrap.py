@@ -421,7 +421,7 @@ class TestErrorTableOracles:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the oracle was checked")
 
-        monkeypatch.setattr("lvkernel.bootstrap.bootstrap_solve", no_solve)
+        monkeypatch.setattr("lvkernel.oracles.bootstrap_solve", no_solve)
         model = CEVModel(sigma=0.3, alpha=2.0 / 3.0, r=0.1)
         with pytest.raises(DomainError,
                            match="the bs-exact oracle needs a 'bsm' or 'tdbsm' model"):
@@ -434,6 +434,18 @@ class TestErrorTableOracles:
         with pytest.raises(DomainError, match="past the grid's x_max 30"):
             bootstrap_error_table(model, 15.0, [0.2], 4, SpatialGrid.regular(30.0, 0.1),
                                   oracle="hagan-woodward")
+
+    @pytest.mark.parametrize("window", [(40.0, 10.0), (10.0, 10.05), (float("nan"), 20.0),
+                                        (10.0, float("nan"))],
+                             ids=["reversed", "between-nodes", "nan-start", "nan-end"])
+    def test_window_without_a_node_rejected_before_any_solve(self, window, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the window was checked")
+
+        monkeypatch.setattr("lvkernel.oracles.bootstrap_solve", no_solve)
+        with pytest.raises(DomainError, match=r"error window \(.*\] holds no grid node"):
+            bootstrap_error_table(BSMModel(0.5, 0.1), 20.0, [0.2], 2,
+                                  SpatialGrid.regular(50.0, 0.1), window=window)
 
     def test_unknown_oracle_rejected(self):
         grid = SpatialGrid.regular(40.0, 0.1)

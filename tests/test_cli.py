@@ -490,8 +490,8 @@ class TestOracleFitsBeforeSolve:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the oracle was checked")
 
-        monkeypatch.setattr("lvkernel.cli.bootstrap_solve", no_solve)
-        monkeypatch.setattr("lvkernel.cli._price_closed_dispatch", no_solve)
+        monkeypatch.setattr("lvkernel.oracles.bootstrap_solve", no_solve)
+        monkeypatch.setattr("lvkernel.oracles._price_closed_dispatch", no_solve)
         argv, message = self.CASES[case]
         rc = main(argv)
         out, err = capsys.readouterr()

@@ -23,6 +23,7 @@ from lvkernel import (
     BSMModel,
     CallPayoff,
     CEVModel,
+    CustomModel,
     DegenerateCoefficient,
     DomainError,
     KernelSpec,
@@ -322,19 +323,34 @@ class TestOneKernelForm:
 
 
 @functools.lru_cache(maxsize=None)
-def _generator_taylor_terms(x, exponent):
-    """Rows j = 0..4 of L^i f_j(x), i = 0..8, f_j(y) = (y - x)^j, for the
-    power-law model a = 0.3 y^exponent, b = 0.1 y, c = -0.1, by sympy."""
+def _generator_taylor_terms(x, exponent, sigma_dot="0"):
+    """Rows j = 0..4 of u_i(x), i = 0..8, the i-th t-derivative at t = 0 of
+    the moment of f_j(y) = (y - x)^j, for the power-law model
+    a = (0.3 + sigma_dot t) y^exponent, b = 0.1 y, c = -0.1, by sympy.
+
+    The series is time-ordered: u_0 = f_j and
+    u_{i+1} = sum_{k <= min(i, 2)} C(i, k) L_k u_{i-k}, where L_k is the k-th
+    t-derivative at t = 0 of L(t) = a(t)^2/2 d^2 + b d + c (quadratic in t).
+    At sigma_dot = 0 it is u_i = L^i f_j.
+    """
     sp = pytest.importorskip("sympy")
     y, x = sp.Symbol("y", positive=True), sp.Integer(x)
-    sigma, r = sp.Rational("3/10"), sp.Rational("1/10")
-    a = sigma * y ** sp.Rational(exponent)
+    sigma, s_dot, r = sp.Rational("3/10"), sp.Rational(sigma_dot), sp.Rational("1/10")
+    p2 = y ** (2 * sp.Rational(exponent))
+    # the t-derivatives at t = 0 of a(t)^2 / 2 = (sigma + s_dot t)^2 p2 / 2
+    half_a2 = (sigma * sigma * p2 / 2, sigma * s_dot * p2, s_dot * s_dot * p2)
+
+    def generator(k, g):
+        lg = half_a2[k] * sp.diff(g, y, 2)
+        return lg + r * y * sp.diff(g, y) - r * g if k == 0 else lg
+
     terms = np.empty((5, 9))
     for j in range(5):
-        g = (y - x) ** j
-        for i in range(9):
-            terms[j, i] = float(g.subs(y, x))
-            g = sp.expand(a * a / 2 * sp.diff(g, y, 2) + r * y * sp.diff(g, y) - r * g)
+        u = [(y - x) ** j]
+        for i in range(8):
+            u.append(sp.expand(sum(sp.binomial(i, k) * generator(k, u[i - k])
+                                   for k in range(min(i, 2) + 1))))
+        terms[j] = [float(g.subs(y, x)) for g in u]
     return terms
 
 
@@ -342,9 +358,11 @@ class TestMomentCertificate:
     """The kernel's moments at every basepoint rule against the semigroup's
     Taylor series.
 
-    For f_j(y) = (y - x)^j the true moment is sum_{i <= 8} t^i/i! L^i f_j(x),
-    L = a^2/2 d^2 + b d + c, applied exactly by sympy once per model; the
-    kernel's moment is a fine Simpson sum in y.  As t halves from 0.02 to
+    For f_j(y) = (y - x)^j the true moment is sum_{i <= 8} t^i/i! u_i(x),
+    with u_i = L^i f_j, L = a^2/2 d^2 + b d + c, for a time-independent model
+    and the time-ordered terms of _generator_taylor_terms for TD-BSM (which
+    is what checks the a da_dt term of p_2), applied exactly by sympy once
+    per model; the kernel's moment is a fine Simpson sum in y.  As t halves from 0.02 to
     0.0025 the log2 slope of each gap is at least ROADMAP item 7's value less
     0.15: floor(j/2) + 1 at order 0, ceil(j/2) + 1 at order 1 and
     floor(j/2) + 2 at order 2 (measured to within 0.01 at z = x, and within
@@ -354,18 +372,20 @@ class TestMomentCertificate:
     X = 20
     TIMES = (0.02, 0.01, 0.005, 0.0025)
     SLOPES = {0: (1, 1, 2, 2, 3), 1: (1, 2, 2, 3, 3), 2: (2, 2, 3, 3, 4)}
-    # name: (model, the exponent of a as sympy reads it)
+    # name: (model, the exponent of a and its sigma_dot as sympy reads them)
     MODELS = {
-        "bsm": (BSMModel(sigma=0.3, r=0.1), "1"),
-        "cev": (CEVModel(sigma=0.3, alpha=2.0 / 3.0, r=0.1), "2/3"),
+        "bsm": (BSMModel(sigma=0.3, r=0.1), "1", "0"),
+        "cev": (CEVModel(sigma=0.3, alpha=2.0 / 3.0, r=0.1), "2/3", "0"),
+        "tdbsm": (TimeDependentBSMModel(sigma=0.3, sigma_dot0=0.2, r=0.1), "1", "1/5"),
+        "custom": (CustomModel(TimeDependentBSMModel(0.3, 0.2, 0.1).jet), "1", "1/5"),
     }
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     @pytest.mark.parametrize("name", sorted(MODELS))
     @pytest.mark.parametrize("rule", list(BasepointRule), ids=lambda r: r.value)
     def test_moment_errors_fall_at_the_expansion_order(self, rule, name, order):
-        model, exponent = self.MODELS[name]
-        terms = _generator_taylor_terms(self.X, exponent)
+        model, exponent, sigma_dot = self.MODELS[name]
+        terms = _generator_taylor_terms(self.X, exponent, sigma_dot)
         spec, x, j = KernelSpec(model, order, rule), float(self.X), np.arange(5)
         gaps = []
         for t in self.TIMES:

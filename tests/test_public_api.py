@@ -2,7 +2,11 @@
 in lvkernel.__all__ resolve, so a deletion cannot leave a stale entry."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +29,16 @@ def test_package_names_resolve_once():
     assert len(set(names)) == len(names)
     missing = [name for name in names if not hasattr(lvkernel, name)]
     assert missing == []
+
+
+def test_import_order_is_pinned():
+    # the order in which `import lvkernel` loads its modules sets what a fresh
+    # process pays: moving one import has cost about 3,400 minor page faults
+    # and 50 ms of set-up
+    src = str(Path(lvkernel.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, lvkernel; print(*(m for m in sys.modules if m.startswith('lvkernel.')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.split() == [f"lvkernel.{m}" for m in
+                           ("errors", "grid", "models", "kernel", "pricing", "bootstrap", "oracles")]
