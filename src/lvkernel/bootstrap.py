@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError, GridTooCoarseWarning
 from .grid import PriceCurve, SpatialGrid
 from .kernel import KernelSpec, _hermite_coefficients, _weighted_block
-from .pricing import Payoff, _past_ends, _why_no_closed_form, price_curve
+from .pricing import Payoff, _norm_cdf, _why_no_closed_form, price_curve
 
 __all__ = ["BootstrapConfig", "kernel_matrix", "bootstrap_solve"]
 
@@ -52,9 +52,9 @@ def kernel_matrix(spec: KernelSpec, tau: float,
 
     The row sums approximate the kernel mass integral and feed the coarseness
     diagnostic.  At z = x the coefficients are computed once per row, and the
-    live band |x_i - y_j| <= sqrt(2 * 745 tau) a(x_i) at z = x_i, widened by
-    one node on each side, is the only part evaluated: the entries outside it
-    are +0.0 by definition.
+    live band |x_i - y_j| <= sqrt(2 * 50 tau) a(x_i) at z = x_i (ten widths,
+    kernel.Q_MAX), widened by one node on each side, is the only part
+    evaluated: the entries outside it are +0.0 by definition.
     """
     mat = _weighted_block(spec, tau, grid.nodes, grid.weights)
     return mat, mat.sum(axis=1)
@@ -64,18 +64,20 @@ def _mass_check(spec: KernelSpec, tau: float, grid: SpatialGrid,
                 mass: np.ndarray) -> None:
     """Warn when quadrature fails to resolve the kernel on usable rows.
 
-    Only rows whose kernel both fits inside the grid (pricing._past_ends)
-    and is resolvable (width at least two grid steps) are held to the mass
-    tolerance.  Unresolvable rows near the left cutoff are expected for
-    vanishing-at-zero diffusions and go unchecked, although a put carries
+    Only rows whose kernel both fits inside the grid and is resolvable
+    (width w at least two grid steps) are held to the mass tolerance.  A
+    kernel fits when its Gaussian mass past the ends, Phi((x_min - x)/w) +
+    Phi((x - x_max)/w), is below _MASS_TOL/100, as its order-2 terms fatten
+    that tail up to 40-fold.  Unresolvable rows near the left cutoff are expected
+    for vanishing-at-zero diffusions and go unchecked, although a put carries
     payoff mass there and its composed price can blow up unreported
     (ROADMAP.md item 2: integrate those rows exactly).
     """
     xs = grid.nodes
     jet = spec.model.jet(xs)
     width = jet.a * np.sqrt(tau)
-    left, right = _past_ends(grid, xs, width)
-    gated = ~(left | right) & (width >= 2.0 * grid.dx)
+    tail = _norm_cdf((grid.x_min - xs) / width) + _norm_cdf((xs - grid.x_max) / width)
+    gated = (tail < _MASS_TOL / 100.0) & (width >= 2.0 * grid.dx)
     if not np.any(gated):
         warnings.warn(
             "no grid row resolves the sub-step kernel (dx too large or grid "

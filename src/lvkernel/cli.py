@@ -8,6 +8,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -280,7 +281,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         # _fmt rejects a non-finite result, which NumPy's warnings would only repeat
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             artifact = _COMMANDS[ns.command][0](model, vars(ns))
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -5,10 +5,11 @@ series G_0(d) * sum_{k <= 3n} h_k He_k(d/s), d = x - y, s = a sqrt(t), G_0 the
 Gaussian of the jet frozen at z; _hermite_coefficients is the one copy of the
 h_k.  Evaluation sums the series in powers of d: one exp per entry and a
 Horner sum, in _gauss_poly, the one body of every evaluation.  The kernel is
-exactly +0.0 wherever q = d^2/(2 t a^2) > EXP_ARG_MAX.  A kernel matrix at
+exactly +0.0 wherever q = d^2/(2 t a^2) > Q_MAX = 50, ten widths out, where
+exp(-q) < 2e-22 is below double precision of the peak.  A kernel matrix at
 z = x computes the powers once per row, evaluates only each row's live band
-(q <= EXP_ARG_MAX, widened by one node on each side), and leaves the +0.0
-outside it unevaluated.  The closed-form prices in pricing are the series'
+(q <= Q_MAX, widened by one node on each side), and leaves the +0.0 outside
+it unevaluated.  The closed-form prices in pricing are the series'
 Gaussian moments.  All operations are pure functions and vectorize over
 numpy arrays.
 """
@@ -28,9 +29,9 @@ __all__ = ["KernelSpec", "kernel_eval"]
 
 ArrayLike = Union[float, np.ndarray]
 
-# exp(-q) underflows double precision past this; the kernel is defined to be
-# exactly zero there rather than subnormal noise
-EXP_ARG_MAX = 745.0
+# the kernel is exactly zero past q = Q_MAX, ten widths out, where exp(-q) = 1.9e-22
+# is below double precision of the peak: a live band a quarter as wide as exp's 745
+Q_MAX = 50.0
 # rows of an (x, y) block evaluated at once: bounds the block-sized temporaries
 _CHUNK_ROWS = 64
 
@@ -136,12 +137,12 @@ def _check_finite(t: float, *arrays) -> None:
 
 
 def _gauss_poly(c: list, inv_var, d, neg_q, dead, out):
-    """exp(-q) sum_k C_k d^k into out where q = -d^2 inv_var <= EXP_ARG_MAX,
-    +0.0 elsewhere whatever the sum is.  neg_q and dead, of out's shape, are
-    scratch: neg_q for -q and then the sum, dead for the mask q > EXP_ARG_MAX."""
+    """exp(-q) sum_k C_k d^k into out where q = -d^2 inv_var <= Q_MAX, +0.0
+    elsewhere whatever the sum is.  neg_q and dead, of out's shape, are
+    scratch: neg_q for -q and then the sum, dead for the mask q > Q_MAX."""
     np.multiply(d, d, out=neg_q)
     neg_q *= inv_var
-    np.less(neg_q, -EXP_ARG_MAX, out=dead)
+    np.less(neg_q, -Q_MAX, out=dead)
     np.exp(neg_q, out=out)
     poly = neg_q
     poly[...] = c[-1]
@@ -154,7 +155,7 @@ def _gauss_poly(c: list, inv_var, d, neg_q, dead, out):
 
 def _kernel(jet: CoefficientJet, t: float, x: ArrayLike, y: ArrayLike, z: ArrayLike,
             order: int) -> ArrayLike:
-    """G_0(d) sum_k C_k d^k, exactly +0.0 wherever q = d^2/(2 t a^2) > EXP_ARG_MAX.
+    """G_0(d) sum_k C_k d^k, exactly +0.0 wherever q = d^2/(2 t a^2) > Q_MAX.
 
     A width a sqrt(t) so small that a C_k or 0.5/(t a^2) overflows (BSM
     sigma = 0.3, t = 0.1: spots below 1e-43 at order 2, 5e-154 at any order)
@@ -187,9 +188,9 @@ def _kernel_rows(spec: KernelSpec, t: float, x: np.ndarray, y: np.ndarray):
 def _weighted_block(spec: KernelSpec, t: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """kernel_eval(spec, t, x[:, None], x[None, :]) * w bit for bit, for
     increasing nodes x.  At z = x each chunk of rows evaluates, in reused
-    buffers, only the union of its rows' live columns |x - y| <= sqrt(2
-    EXP_ARG_MAX t) a (widened by 1e-9 of itself and by one node on each side);
-    the rest keep np.zeros' +0.0, the kernel's value there."""
+    buffers, only the union of its rows' live columns |x - y| <= sqrt(2 Q_MAX
+    t) a (widened by 1e-9 of itself and by one node on each side); the rest
+    keep np.zeros' +0.0, the kernel's value there."""
     mat = np.zeros((x.size, x.size))
     if spec.basepoint is not BasepointRule.AT_X:
         for rows, k in _kernel_rows(spec, t, x, x):
@@ -200,7 +201,7 @@ def _weighted_block(spec: KernelSpec, t: float, x: np.ndarray, w: np.ndarray) ->
         c = [np.broadcast_to(ck, x.shape) for ck in _coefficients(jet, t, x, x, spec.order)]
         inv_var = np.broadcast_to(np.divide(-0.5, t * jet.a * jet.a), x.shape)
         _check_finite(t, inv_var, *c)
-        half = sqrt(2.0 * EXP_ARG_MAX * t) * (1.0 + 1e-9) * jet.a
+        half = sqrt(2.0 * Q_MAX * t) * (1.0 + 1e-9) * jet.a
         lo, hi = np.searchsorted(x, x - half), np.searchsorted(x, x + half, side="right")
         floats = np.empty((2, _CHUNK_ROWS * x.size))
         mask = np.empty(floats.shape[1], bool)

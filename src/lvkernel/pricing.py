@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError, GridTooCoarseWarning
 from .grid import PriceCurve, SpatialGrid, simpson_weights
-from .kernel import EXP_ARG_MAX, KernelSpec, _he_to_power, _hermite_coefficients, _kernel_rows
+from .kernel import KernelSpec, _he_to_power, _hermite_coefficients, _kernel_rows
 from .models import BasepointRule, CoefficientJet, Model
 
 __all__ = [
@@ -36,6 +36,9 @@ ArrayLike = Union[float, np.ndarray]
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT1_2 = math.sqrt(0.5)
 _MAXLOG = 7.09782712893383996843e2  # exp(-z^2) underflows past z^2 = MAXLOG
+# exp(-q) underflows past this.  The closed forms are full-line moments: cut at kernel.Q_MAX,
+# their s phi(mu) term would leave Phi(mu) times the forward uncancelled far out of the money
+_EXP_UNDERFLOW = 745.0
 
 
 def _norm_cdf(x: ArrayLike) -> ArrayLike:
@@ -216,13 +219,13 @@ def _calls(order: int, jet: CoefficientJet, t: float, strikes, x: ArrayLike) -> 
         # as did an np.where on the Gaussian term in place of poly[dead] = 0
         m = x - K
         q = m * m / (2.0 * s2)
-        expq = np.exp(-q) * (q <= EXP_ARG_MAX)
+        expq = np.exp(-q) * (q <= _EXP_UNDERFLOW)
         mu = m / s
         E = _norm_cdf(mu)
         poly = bracket[-1]
         for e in reversed(bracket[:-1]):
             poly = poly * mu + e
-        dead = q > EXP_ARG_MAX  # as in the kernel, the Gaussian term is exactly 0 there
+        dead = q > _EXP_UNDERFLOW  # the Gaussian term is exactly 0 there
         if isinstance(poly, np.ndarray):
             poly[dead] = 0.0
         elif dead:

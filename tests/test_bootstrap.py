@@ -30,7 +30,7 @@ from lvkernel import (
     kernel_matrix,
     price_curve,
 )
-from lvkernel.kernel import _weighted_block
+from lvkernel.kernel import _coefficients, _weighted_block
 
 # reference sup-norm errors of the 10-step order-2 composition for the
 # lognormal model with K=20, sigma=0.5, r=0.1, measured over (0, 40]
@@ -195,6 +195,53 @@ class TestKernelMatrixBand:
         assert peak < n * n * 8 + 4 * (64 * n * 8)
 
 
+def _uncut_rows(spec, tau, xs, w, rows):
+    """Rows of the z = x block kernel_eval * w with the kernel cut only where
+    exp underflows, at q > 745 instead of Q_MAX: the same coefficients and
+    operations as the build, evaluated on every column."""
+    x = xs[rows]
+    jet = spec.model.jet(x)
+    c = [np.broadcast_to(ck, x.shape)[:, None] for ck in _coefficients(jet, tau, x, x, spec.order)]
+    d = x[:, None] - xs[None, :]
+    neg_q = d * d * np.divide(-0.5, tau * jet.a * jet.a)[:, None]
+    poly = c[-1] + 0.0 * d
+    for ck in reversed(c[:-1]):
+        poly = poly * d + ck
+    return np.where(neg_q < -745.0, 0.0, np.exp(neg_q) * poly) * w
+
+
+class TestCutOff:
+    """The kernel is +0.0 past q = Q_MAX = 50, ten widths out, not only past
+    the exp underflow at q = 745: the matrix loses less than one ulp of a row's
+    mass and holds no subnormal entry."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("model", ["bsm", "cev", "tdbsm"])
+    def test_rows_lose_less_than_an_ulp_of_their_mass(self, model, order):
+        grid = SpatialGrid.regular(200.0, 0.1)
+        xs, w = grid.nodes, grid.weights
+        spec = KernelSpec(BAND_MODELS[model], order)
+        for tau in (0.0125, 0.025, 0.05, 0.1, 0.2, 0.5, 1.0):
+            mat, mass = kernel_matrix(spec, tau, grid)
+            for start in range(0, xs.size, 250):
+                rows = slice(start, start + 250)
+                lost = np.abs(_uncut_rows(spec, tau, xs, w, rows) - mat[rows]).sum(axis=1)
+                bound = 2.0**-52 * np.abs(mass[rows])
+                assert np.all(lost <= bound), (
+                    f"tau={tau}: worst lost/mass {np.max(lost / np.abs(mass[rows])):.3g}")
+
+    @pytest.mark.parametrize("model,order,tau", [
+        ("bsm", 2, 0.1), ("bsm", 1, 0.05), ("bsm", 2, 0.025), ("cev", 2, 0.05),
+        ("cev", 1, 0.2), ("cev", 1, 0.025), ("tdbsm", 1, 0.1), ("tdbsm", 2, 0.0125),
+        ("tdbsm", 1, 0.0125), ("tdbsm", 2, 0.2)])
+    def test_compose_matrices_hold_no_subnormal(self, model, order, tau):
+        # the sub-steps of the benchmark's compose solves on regular(200, 0.1);
+        # cut at the exp underflow, a CEV matrix held up to 38,622 subnormals
+        mat, _ = kernel_matrix(KernelSpec(BAND_MODELS[model], order), tau,
+                               SpatialGrid.regular(200.0, 0.1))
+        assert not np.any((mat != 0.0) & (np.abs(mat) < np.finfo(float).tiny))
+
+
 class TestBootstrapSolve:
     def test_one_step_call_is_the_closed_form_accuracy(self):
         # one sub-step prices the kink in closed form, 1.2e-5 off here;
@@ -269,6 +316,24 @@ class TestMassDiagnostic:
         grid = SpatialGrid.regular(40.0, 1.0)
         config = BootstrapConfig(spec, t_total=0.1, n_steps=10, grid=grid)
         with pytest.warns(GridTooCoarseWarning, match="no grid row resolves"):
+            bootstrap_solve(config, CallPayoff(STRIKE))
+
+    def test_wide_bsm_sub_step_checks_its_rows(self):
+        # sigma sqrt(tau) = 0.204: every kernel reaches 4.9 widths past x = 0,
+        # so six-width gating checked no row and blamed dx; the rows' Gaussian
+        # mass past the ends is 4.8e-7, and their masses match 1 + c tau
+        grid = SpatialGrid.regular(200.0, 0.1)
+        config = BootstrapConfig(KernelSpec(MODEL, order=2), t_total=0.5, n_steps=3, grid=grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", GridTooCoarseWarning)
+            bootstrap_solve(config, CallPayoff(STRIKE))
+
+    def test_bsm_kernel_past_zero_on_every_row_warns(self):
+        # sigma sqrt(tau) = 0.25: each row drops 7.6e-4 of its mass below
+        # x_min (Gaussian estimate 3.2e-5), so no row is fit to check
+        grid = SpatialGrid.regular(200.0, 0.1)
+        config = BootstrapConfig(KernelSpec(MODEL, order=2), t_total=0.5, n_steps=2, grid=grid)
+        with pytest.warns(GridTooCoarseWarning, match="grid too short for this tau"):
             bootstrap_solve(config, CallPayoff(STRIKE))
 
     def test_resolved_grid_does_not_warn(self):

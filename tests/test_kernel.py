@@ -34,7 +34,7 @@ from lvkernel import (
     kernel_eval,
     price_quadrature,
 )
-from lvkernel.kernel import EXP_ARG_MAX, _he_to_power, _p_polynomials
+from lvkernel.kernel import Q_MAX, _he_to_power, _p_polynomials
 
 
 class TestHeToPower:
@@ -201,14 +201,26 @@ class TestKernelEval:
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_underflow_region_is_exactly_zero(self, order):
-        # q = (x-y)^2 / (2 t a^2) ~ 988 here, past the exp underflow cutoff
+        # q = (x-y)^2 / (2 t a^2) ~ 988 here, past the exp underflow too
         model = BSMModel(sigma=0.3, r=0.0)
         t, x, y = 1e-4, 15.0, 13.0
         a = 0.3 * x
         q = (x - y) ** 2 / (2.0 * t * a * a)
-        assert q > EXP_ARG_MAX
+        assert q > Q_MAX
         spec = KernelSpec(model, order=order)
         assert kernel_eval(spec, t, x, y) == 0.0
+
+    @pytest.mark.parametrize("rule", list(BasepointRule))
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_exactly_zero_past_q_max_before_exp_underflows(self, order, rule):
+        # 14 widths from x: q is 100, 162 and 303 at z = x, mid and y, where
+        # exp(-q) is a normal double; the kernel is +0.0 all the same
+        model = BSMModel(sigma=0.3, r=0.1)
+        t, x, y = 0.01, 20.0, 11.5
+        q = (x - y) ** 2 / (2.0 * t * model.jet(basepoint(rule, x, y)).a ** 2)
+        assert Q_MAX == 50.0 and 50.0 < q < 745.0
+        got = kernel_eval(KernelSpec(model, order, rule), t, x, y)
+        assert got == 0.0 and not np.signbit(got)
 
     @pytest.mark.parametrize("x", [1e-100, 1e-200, np.array([1e-200, 1.0])],
                              ids=["C_k-overflow", "s2-underflows", "array"])
@@ -255,13 +267,13 @@ class TestOffDiagonalBasepoints:
 def _hermite_series_kernel(model, order, rule, t, x, y):
     """The kernel as a Gaussian times the order-1 bracket plus t times the
     Hermite series sum_k P_k(xi) H_k(Theta), with a'(z) in the basepoint-shift
-    term; 0 where exp(-q) underflows."""
+    term; 0 past q = Q_MAX."""
     z = basepoint(rule, x, y)
     jet = model.jet(z)
     a, ap, b = jet.a, jet.da_dx, jet.b
     d = x - y
     q = d * d / (2.0 * t * a * a)
-    gauss = np.where(q > EXP_ARG_MAX, 0.0, np.exp(-np.minimum(q, EXP_ARG_MAX)))
+    gauss = np.where(q > Q_MAX, 0.0, np.exp(-np.minimum(q, Q_MAX)))
     gauss = gauss / np.sqrt(2.0 * np.pi * t * a * a)
     if order == 0:
         return gauss
@@ -314,7 +326,7 @@ class TestOneKernelForm:
         y = np.concatenate([np.linspace(0.08, 0.12, 401), SpatialGrid.regular(200.0, 0.1).nodes])
         got = kernel_eval(KernelSpec(model, order, rule), tau, 0.1, y)
         a = model.jet(basepoint(rule, 0.1, y)).a
-        dead = (0.1 - y) ** 2 / (2.0 * tau * a * a) > EXP_ARG_MAX
+        dead = (0.1 - y) ** 2 / (2.0 * tau * a * a) > Q_MAX
         assert np.all(np.isfinite(got))
         assert np.any(dead) and np.all(got[dead] == 0.0)
         want = _hermite_series_kernel(model, order, rule, tau, 0.1, y)
