@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DomainError, GridTooCoarseWarning
 from .grid import PriceCurve, SpatialGrid
-from .kernel import KernelSpec, _hermite_coefficients, _weighted_block
+from .kernel import _KAPPA, KernelSpec, _hermite_coefficients, _weighted_block
+from .models import BasepointRule
 from .pricing import Payoff, _norm_cdf, _why_no_closed_form, price_curve
 
 __all__ = ["BootstrapConfig", "kernel_matrix", "bootstrap_solve"]
@@ -50,9 +51,11 @@ def kernel_matrix(spec: KernelSpec, tau: float,
                   grid: SpatialGrid) -> Tuple[np.ndarray, np.ndarray]:
     """Dense propagation matrix M[i, j] = G_tau(x_i, y_j) w_j and its row sums.
 
-    The row sums approximate the kernel mass integral and feed the coarseness
-    diagnostic.  At z = x the coefficients are computed once per row, and the
-    live band |x_i - y_j| <= sqrt(2 * 50 tau) a(x_i) at z = x_i (ten widths,
+    The row sums approximate the kernel's mass over y, its h_0 at z = x, and
+    the coarseness diagnostic holds them to it; at z = y it holds the
+    columns' masses to theirs instead (_mass_check).  At z = x the
+    coefficients are computed once per row, and the live band
+    |x_i - y_j| <= sqrt(2 * 50 tau) a(x_i) at z = x_i (ten widths,
     kernel.Q_MAX), widened by one node on each side, is the only part
     evaluated: the entries outside it are +0.0 by definition.
     """
@@ -61,10 +64,14 @@ def kernel_matrix(spec: KernelSpec, tau: float,
 
 
 def _mass_check(spec: KernelSpec, tau: float, grid: SpatialGrid,
-                mass: np.ndarray) -> None:
-    """Warn when quadrature fails to resolve the kernel on usable rows.
+                mat: np.ndarray, mass: np.ndarray) -> None:
+    """Warn when quadrature fails to resolve the kernel on usable nodes.
 
-    Only rows whose kernel both fits inside the grid and is resolvable
+    The kernel's exact mass is h_0 of the jet at z: over y at z = x, held
+    against the row sums, and over x at z = y, held against the column masses
+    w @ mat / w.  The midpoint's z moves along rows and columns alike, so it
+    has no exact mass and only the "no grid row resolves" gate is checked.
+    Only nodes whose kernel both fits inside the grid and is resolvable
     (width w at least two grid steps) are held to the mass tolerance.  A
     kernel fits when its Gaussian mass past the ends, Phi((x_min - x)/w) +
     Phi((x - x_max)/w), is below _MASS_TOL/100, as its order-2 terms fatten
@@ -86,9 +93,12 @@ def _mass_check(spec: KernelSpec, tau: float, grid: SpatialGrid,
             stacklevel=3,
         )
         return
-    # the kernel's mass is its h_0: 1, plus c tau at order 2
-    expected = np.broadcast_to(_hermite_coefficients(jet, tau, xs, xs, spec.order)[0], xs.shape)
-    defect = np.max(np.abs(mass[gated] - expected[gated]))
+    if spec.basepoint is BasepointRule.MIDPOINT:
+        return
+    if spec.basepoint is BasepointRule.AT_Y:
+        mass = grid.weights @ mat / grid.weights
+    h0 = _hermite_coefficients(jet, tau, _KAPPA[spec.basepoint], spec.order)[0]
+    defect = np.max(np.abs(mass - h0)[gated])
     if defect > _MASS_TOL:
         warnings.warn(
             f"kernel mass defect {defect:.3e} exceeds {_MASS_TOL:.0e}; "
@@ -115,7 +125,7 @@ def bootstrap_solve(config: BootstrapConfig, payoff: Payoff) -> PriceCurve:
     hops = config.n_steps - 1 if closed else config.n_steps
     if hops:
         mat, mass = kernel_matrix(spec, tau, grid)
-        _mass_check(spec, tau, grid, mass)
+        _mass_check(spec, tau, grid, mat, mass)
     if closed:
         u = price_curve(spec, tau, payoff, grid, method="closed").values
     else:

@@ -3,7 +3,10 @@
 Every kernel, at every order and basepoint rule z(x, y), is one Hermite
 series G_0(d) * sum_{k <= 3n} h_k He_k(d/s), d = x - y, s = a sqrt(t), G_0 the
 Gaussian of the jet frozen at z; _hermite_coefficients is the one copy of the
-h_k.  Evaluation sums the series in powers of d: one exp per entry and a
+h_k.  A rule is one number kappa = (x - z)/(x - y), 0 at z = x, 1 at z = y and
+1/2 at the midpoint, folded into the h_k, so the h_k are those of the jet at
+z: one per row at z = x, one per column at z = y, one per entry at the
+midpoint.  Evaluation sums the series in powers of d: one exp per entry and a
 Horner sum, in _gauss_poly, the one body of every evaluation.  The kernel is
 exactly +0.0 wherever q = d^2/(2 t a^2) > Q_MAX = 50, ten widths out, where
 exp(-q) < 2e-22 is below double precision of the peak.  A kernel matrix at
@@ -40,6 +43,8 @@ _HERMITE = tuple(tuple((-1) ** j * factorial(k) // (factorial(j) * factorial(k -
                        for j in range(k // 2 + 1)) for k in range(7))
 # their lower terms (m, k, coefficient of u**m in He_k), m < k, by increasing k
 _HE_LOWER = tuple((k - 2 * j, k, c) for k, r in enumerate(_HERMITE) for j, c in enumerate(r) if j)
+# each rule's kappa = (x - z)/(x - y): where z(x, y) sits between x and y
+_KAPPA = {BasepointRule.AT_X: 0.0, BasepointRule.AT_Y: 1.0, BasepointRule.MIDPOINT: 0.5}
 
 
 @dataclass(frozen=True)
@@ -55,55 +60,42 @@ class KernelSpec:
             raise DomainError(f"kernel order must be 0, 1 or 2, got {self.order}")
 
 
-def _p_polynomials(jet: CoefficientJet, xi):
-    """Coefficient polynomials P_0..P_6 of the order-2 correction.
+def _hermite_coefficients(jet: CoefficientJet, t: float, kappa: float, order: int) -> list:
+    """h_0..h_{3 order} of the order-n kernel G_0(d) sum_k h_k He_k(u), u = d/s, at z.
 
-    xi is the rescaled basepoint offset (x - z)/sqrt(t), or None at z = x,
-    where P_1, P_3, P_5 and the xi-dependent parts of P_2, P_4 vanish and are
-    not computed.
-    """
-    a, ap, app, adot = jet.a, jet.da_dx, jet.d2a_dx2, jet.da_dt
-    b, bp, c = jet.b, jet.db_dx, jet.c
-    ap2 = ap * ap
-    a2 = a * a
-    a3 = a2 * a
-    p2 = 0.5 * (0.5 * a3 * app + a2 * bp + a2 * ap2 / 2.0 + b * b + a * (b * ap + adot))
-    p4 = (a2 / 3.0) * (0.5 * a3 * app + 2.0 * a2 * ap2 + 1.5 * a * ap * b)
-    p6 = a3 * a3 * ap2 / 8.0
-    if xi is None:
-        return c, 0.0, p2, 0.0, p4, 0.0, p6
-    xi2 = xi * xi
-    p1 = bp * xi
-    p2 = p2 + 0.5 * xi2 * (ap2 + a * app)
-    p3 = a * xi * (ap * b + 0.5 * a2 * app + 1.5 * a * ap2)
-    p4 = p4 + 0.5 * a2 * ap2 * xi2
-    p5 = 0.5 * a2 * a2 * ap2 * xi
-    return c, p1, p2, p3, p4, p5, p6
-
-
-def _hermite_coefficients(jet: CoefficientJet, t: float, x: ArrayLike, z: ArrayLike,
-                          order: int) -> list:
-    """h_0..h_{3 order} of the order-n kernel G_0(d) sum_k h_k He_k(d/s) at z.
-
-    Order 1 is 1, -b sqrt(t)/a, a' xi sqrt(t)/a, -a' sqrt(t)/2, xi = (x - z)/sqrt(t);
-    order 2 adds t P_k(xi) (-1/a)^k to h_k, as H_k(Theta) = (-1/a)^k He_k(d/s).
-    The rule z = x passes x itself as z; then xi = 0 and its terms are skipped.
+    Order 1 is 1, -b sqrt(t)/a, 0, -a' sqrt(t)/2; order 2 adds t P_k (-1/a)^k
+    to h_k, as H_k(Theta) = (-1/a)^k He_k(u), for the even P_k of z = x.  Off
+    it, xi = (x - z)/sqrt(t) = kappa a u, and each xi-term folds into the
+    series through u He_k = He_{k+1} + k He_{k-1}; at kappa = 0 none is added.
     """
     if order == 0:
         return [1.0]
-    a, ap = jet.a, jet.da_dx
+    a, ap, app, b, bp = jet.a, jet.da_dx, jet.d2a_dx2, jet.b, jet.db_dx
     sqrt_t = sqrt(t)
-    xi = None if z is x else (np.asarray(x) - np.asarray(z)) / sqrt_t
-    h = [1.0, jet.b * -sqrt_t / a, 0.0 if xi is None else ap * xi * sqrt_t / a, -0.5 * sqrt_t * ap]
+    h = [1.0, b * -sqrt_t / a, 0.0, -0.5 * sqrt_t * ap]
+    if kappa:
+        h[1] = h[1] + 2.0 * kappa * sqrt_t * ap
+        h[3] = h[3] + kappa * sqrt_t * ap
     if order == 2:
-        p = _p_polynomials(jet, xi)
-        f, step, ks = t, -1.0 / a, range(7)  # f = t (-1/a)^k
-        if xi is None:
-            step, ks = step * step, range(0, 7, 2)
+        ap2 = ap * ap
+        a2 = a * a
+        a3 = a2 * a
+        p2 = 0.5 * (0.5 * a3 * app + a2 * bp + a2 * ap2 / 2.0 + b * b + a * (b * ap + jet.da_dt))
+        p4 = (a2 / 3.0) * (0.5 * a3 * app + 2.0 * a2 * ap2 + 1.5 * a * ap * b)
+        p6 = a3 * a3 * ap2 / 8.0
+        f, step = t, -1.0 / a  # f = t (-1/a)^k
+        step = step * step
         h += [0.0, 0.0, 0.0]
-        for k in ks:
-            h[k] = h[k] + f * p[k]
+        for k, pk in zip(range(0, 7, 2), (jet.c, p2, p4, p6)):
+            h[k] = h[k] + f * pk
             f = f * step
+        if kappa:  # with A = a'^2, B = A + a a'' and C = a' b/a + a a''/2 + 3A/2
+            tk, big_b = t * kappa, ap2 + a * app
+            big_c = ap * b / a + 0.5 * big_b + ap2
+            h[0] = h[0] + tk * (kappa * big_b - bp)
+            h[2] = h[2] + tk * (kappa * (2.5 * big_b + 6.0 * ap2) - bp - 3.0 * big_c)
+            h[4] = h[4] + tk * (kappa * (0.5 * big_b + 4.5 * ap2) - big_c - 2.5 * ap2)
+            h[6] = h[6] + 0.5 * tk * (kappa - 1.0) * ap2
     return h
 
 
@@ -117,7 +109,7 @@ def _he_to_power(h) -> list:
     return e
 
 
-def _coefficients(jet: CoefficientJet, t: float, x: ArrayLike, z: ArrayLike, order: int) -> list:
+def _coefficients(jet: CoefficientJet, t: float, kappa: float, order: int) -> list:
     """C_0..C_{3 order} of the order-n kernel G_0(d) sum_m C_m d^m, with the
     Gaussian's prefactor folded in: C_m = e_m s^-m / (s sqrt(2 pi)) for the
     powers e_m of the Hermite series."""
@@ -125,7 +117,7 @@ def _coefficients(jet: CoefficientJet, t: float, x: ArrayLike, z: ArrayLike, ord
         raise DomainError(f"time must be positive and finite, got {t}")
     s = jet.a * np.sqrt(t)  # a NumPy scalar: a width that underflows divides to inf
     c, scale = [], 1.0 / (s * sqrt(2.0 * pi))
-    for em in _he_to_power(_hermite_coefficients(jet, t, x, z, order)):
+    for em in _he_to_power(_hermite_coefficients(jet, t, kappa, order)):
         c.append(scale * em)
         scale = scale / s
     return c
@@ -153,7 +145,7 @@ def _gauss_poly(c: list, inv_var, d, neg_q, dead, out):
     return np.multiply(out, poly, out=out)
 
 
-def _kernel(jet: CoefficientJet, t: float, x: ArrayLike, y: ArrayLike, z: ArrayLike,
+def _kernel(jet: CoefficientJet, t: float, x: ArrayLike, y: ArrayLike, kappa: float,
             order: int) -> ArrayLike:
     """G_0(d) sum_k C_k d^k, exactly +0.0 wherever q = d^2/(2 t a^2) > Q_MAX.
 
@@ -162,7 +154,7 @@ def _kernel(jet: CoefficientJet, t: float, x: ArrayLike, y: ArrayLike, z: ArrayL
     raises DegenerateCoefficient.
     """
     with np.errstate(all="ignore"):  # a kernel that is not finite raises below
-        c = _coefficients(jet, t, x, z, order)
+        c = _coefficients(jet, t, kappa, order)
         d = np.subtract(x, y, dtype=float)
         inv_var = np.divide(-0.5, t * jet.a * jet.a)
         shape = np.broadcast(d, inv_var, *c).shape
@@ -174,7 +166,7 @@ def _kernel(jet: CoefficientJet, t: float, x: ArrayLike, y: ArrayLike, z: ArrayL
 def kernel_eval(spec: KernelSpec, t: float, x: ArrayLike, y: ArrayLike) -> ArrayLike:
     """Evaluate the order-n kernel with the basepoint rule of ``spec``."""
     z = basepoint(spec.basepoint, x, y)
-    return _kernel(spec.model.jet(z), t, x, y, z, spec.order)
+    return _kernel(spec.model.jet(z), t, x, y, _KAPPA[spec.basepoint], spec.order)
 
 
 def _kernel_rows(spec: KernelSpec, t: float, x: np.ndarray, y: np.ndarray):
@@ -198,7 +190,7 @@ def _weighted_block(spec: KernelSpec, t: float, x: np.ndarray, w: np.ndarray) ->
         return mat
     jet = spec.model.jet(x)
     with np.errstate(all="ignore"):  # a kernel that is not finite raises below
-        c = [np.broadcast_to(ck, x.shape) for ck in _coefficients(jet, t, x, x, spec.order)]
+        c = [np.broadcast_to(ck, x.shape) for ck in _coefficients(jet, t, 0.0, spec.order)]
         inv_var = np.broadcast_to(np.divide(-0.5, t * jet.a * jet.a), x.shape)
         _check_finite(t, inv_var, *c)
         half = sqrt(2.0 * Q_MAX * t) * (1.0 + 1e-9) * jet.a

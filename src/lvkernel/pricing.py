@@ -207,7 +207,7 @@ def _forward(order: int, jet: CoefficientJet, t: float, m: ArrayLike) -> ArrayLi
 def _calls(order: int, jet: CoefficientJet, t: float, strikes, x: ArrayLike) -> list:
     """The calls of price_call_closed at each strike, from the jet at z = x.
     The bracket's powers of mu depend on the jet alone and are computed once."""
-    h = _hermite_coefficients(jet, t, x, x, order)
+    h = _hermite_coefficients(jet, t, 0.0, order)
     # h_0 + sum_{k>=2} h_k He_{k-2}(mu) by powers of mu
     bracket = _he_to_power([h[0] + h[2]] + h[3:])
     s = jet.a * np.sqrt(t)  # a NumPy scalar: a width s^2 that underflows divides to inf

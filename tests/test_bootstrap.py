@@ -15,6 +15,8 @@ from lvkernel import (
     ButterflyPayoff,
     CallPayoff,
     CEVModel,
+    CoefficientJet,
+    CustomModel,
     DegenerateCoefficient,
     DomainError,
     GridTooCoarseWarning,
@@ -201,7 +203,7 @@ def _uncut_rows(spec, tau, xs, w, rows):
     operations as the build, evaluated on every column."""
     x = xs[rows]
     jet = spec.model.jet(x)
-    c = [np.broadcast_to(ck, x.shape)[:, None] for ck in _coefficients(jet, tau, x, x, spec.order)]
+    c = [np.broadcast_to(ck, x.shape)[:, None] for ck in _coefficients(jet, tau, 0.0, spec.order)]
     d = x[:, None] - xs[None, :]
     neg_q = d * d * np.divide(-0.5, tau * jet.a * jet.a)[:, None]
     poly = c[-1] + 0.0 * d
@@ -335,6 +337,35 @@ class TestMassDiagnostic:
         config = BootstrapConfig(KernelSpec(MODEL, order=2), t_total=0.5, n_steps=2, grid=grid)
         with pytest.warns(GridTooCoarseWarning, match="grid too short for this tau"):
             bootstrap_solve(config, CallPayoff(STRIKE))
+
+    @pytest.mark.parametrize("dx", [0.1, 0.05, 0.025])
+    @pytest.mark.parametrize("rule", [BasepointRule.AT_Y, BasepointRule.MIDPOINT], ids=["aty", "mid"])
+    def test_off_diagonal_rules_are_held_to_their_own_mass(self, rule, dx):
+        # held to the z = x mass 1 the rows' defects read 8.34e-3 at z = y and
+        # 6.34e-4 at the midpoint on every grid; z = y columns match their h_0
+        # to 1.5e-8 and the midpoint has no exact mass to hold its rows to
+        spec = KernelSpec(MODEL, order=1, basepoint=rule)
+        config = BootstrapConfig(spec, t_total=0.05, n_steps=1, grid=SpatialGrid.regular(50.0, dx))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", GridTooCoarseWarning)
+            bootstrap_solve(config, CallPayoff(STRIKE))
+
+    @pytest.mark.parametrize("dx, warns", [(0.05, True), (0.04, False)])
+    def test_under_resolved_at_y_columns_warn(self, dx, warns):
+        # a' = 60 puts h_6 = tau a'^2/8 = 4.5 on He_6, which Simpson at two
+        # nodes per width misses by 2.4e-4 of a column's mass, and at 2.5 by
+        # 1.3e-8; off |z - 5| < 1 the width is below two steps and unchecked
+        def jet_fn(z):
+            zero = np.zeros_like(np.asarray(z, dtype=float))
+            return CoefficientJet(a=np.where(np.abs(z - 5.0) < 1.0, 1.01, 0.25), da_dx=60.0 + zero,
+                                  d2a_dx2=zero, da_dt=zero, b=zero, db_dx=zero, c=zero)
+
+        spec = KernelSpec(CustomModel(jet_fn), order=2, basepoint=BasepointRule.AT_Y)
+        config = BootstrapConfig(spec, t_total=0.01, n_steps=1, grid=SpatialGrid(1.0, 9.0, dx))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", GridTooCoarseWarning)
+            bootstrap_solve(config, CallPayoff(5.0))
+        assert [str(w.message)[:19] for w in caught] == ["kernel mass defect "] * warns
 
     def test_resolved_grid_does_not_warn(self):
         spec = KernelSpec(MODEL, order=2)

@@ -5,6 +5,7 @@ Gaussian-times-polynomial form against the Hermite-series formula."""
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from lvkernel import (
     kernel_eval,
     price_quadrature,
 )
-from lvkernel.kernel import Q_MAX, _he_to_power, _p_polynomials
+from lvkernel.kernel import _KAPPA, Q_MAX, _he_to_power, _hermite_coefficients
 
 
 class TestHeToPower:
@@ -123,11 +124,13 @@ class TestOrderOne:
 
 class TestOrderTwo:
     def test_odd_coefficient_polynomials_vanish_on_diagonal(self):
+        # at z = x the order-2 correction adds nothing to the odd h_k
         jet = BSMModel(sigma=0.3, r=0.1).jet(15.0)
-        p = _p_polynomials(jet, 0.0)
-        assert p[1] == 0.0
-        assert p[3] == 0.0
-        assert p[5] == 0.0
+        h1 = _hermite_coefficients(jet, 0.1, 0.0, 1)
+        h2 = _hermite_coefficients(jet, 0.1, 0.0, 2)
+        assert h2[1] == h1[1]
+        assert h2[3] == h1[3]
+        assert h2[5] == 0.0
 
     def test_correction_matches_lognormal_display(self):
         sigma, r, t, x = 0.3, 0.1, 0.1, 15.0
@@ -264,6 +267,23 @@ class TestOffDiagonalBasepoints:
         assert np.all(constants <= 1.0), f"errors {errs}, constants {constants}"
 
 
+def _p_polynomials(jet, xi):
+    """P_0..P_6 of the order-2 correction at the basepoint offset
+    xi = (x - z)/sqrt(t), written out as polynomials in xi."""
+    a, ap, app, adot = jet.a, jet.da_dx, jet.d2a_dx2, jet.da_dt
+    b, bp, c = jet.b, jet.db_dx, jet.c
+    ap2, a2, xi2 = ap * ap, a * a, xi * xi
+    a3 = a2 * a
+    p1 = bp * xi
+    p2 = (0.5 * (0.5 * a3 * app + a2 * bp + a2 * ap2 / 2.0 + b * b + a * (b * ap + adot))
+          + 0.5 * xi2 * (ap2 + a * app))
+    p3 = a * xi * (ap * b + 0.5 * a2 * app + 1.5 * a * ap2)
+    p4 = (a2 / 3.0) * (0.5 * a3 * app + 2.0 * a2 * ap2 + 1.5 * a * ap * b) + 0.5 * a2 * ap2 * xi2
+    p5 = 0.5 * a2 * a2 * ap2 * xi
+    p6 = a3 * a3 * ap2 / 8.0
+    return c, p1, p2, p3, p4, p5, p6
+
+
 def _hermite_series_kernel(model, order, rule, t, x, y):
     """The kernel as a Gaussian times the order-1 bracket plus t times the
     Hermite series sum_k P_k(xi) H_k(Theta), with a'(z) in the basepoint-shift
@@ -332,6 +352,29 @@ class TestOneKernelForm:
         want = _hermite_series_kernel(model, order, rule, tau, 0.1, y)
         peak = 1.0 / np.sqrt(2.0 * np.pi * tau * a * a)
         assert np.all(np.abs(got - want) <= 1e-14 * peak)
+
+    @pytest.mark.parametrize("rule", list(BasepointRule))
+    def test_each_rule_is_its_kappa(self, rule):
+        # the fold writes xi = (x - z)/sqrt(t) as kappa (x - y)/sqrt(t): a
+        # rule without its kappa, or off the line through x and y, fails here
+        x = np.array([[0.5], [7.5], [30.0]])
+        y = np.array([[0.25, 7.5, 9.0, 40.0]])
+        got = x - basepoint(rule, x, y)
+        assert np.all(np.abs(got - _KAPPA[rule] * (x - y)) <= np.spacing(np.maximum(x, y)))
+
+    def test_at_y_block_builds_no_block_sized_xi(self):
+        # with xi built as a block the z = y peak was 12.2 blocks of 64 rows;
+        # its h_k per column leave d, -q, the mask and the output: 3.4
+        xs = SpatialGrid(1.0, 40.0, 0.01).nodes
+        x = np.linspace(18.0, 22.0, 64)[:, None]
+        spec = KernelSpec(CEVModel(sigma=0.3, alpha=2.0 / 3.0, r=0.1), 2, BasepointRule.AT_Y)
+        tracemalloc.start()
+        try:
+            kernel_eval(spec, 0.05, x, xs[None, :])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (64 * xs.size * 8)
 
 
 @functools.lru_cache(maxsize=None)
