@@ -10,11 +10,11 @@ midpoint.  Evaluation sums the series in powers of d: one exp per entry and a
 Horner sum, in _gauss_poly, the one body of every evaluation.  The kernel is
 exactly +0.0 wherever q = d^2/(2 t a^2) > Q_MAX = 50, ten widths out, where
 exp(-q) < 2e-22 is below double precision of the peak.  A kernel matrix at
-z = x computes the powers once per row, evaluates only each row's live band
-(q <= Q_MAX, widened by one node on each side), and leaves the +0.0 outside
-it unevaluated.  The closed-form prices in pricing are the series'
-Gaussian moments.  All operations are pure functions and vectorize over
-numpy arrays.
+z = x (z = y) computes the powers once per row (column), evaluates only each
+row's (column's) live band, q <= Q_MAX widened by one node on each side, and
+leaves the +0.0 outside it unevaluated; the midpoint's is evaluated dense.
+The closed-form prices in pricing are the series' Gaussian moments.  All
+operations are pure functions and vectorize over numpy arrays.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ ArrayLike = Union[float, np.ndarray]
 # the kernel is exactly zero past q = Q_MAX, ten widths out, where exp(-q) = 1.9e-22
 # is below double precision of the peak: a live band a quarter as wide as exp's 745
 Q_MAX = 50.0
-# rows of an (x, y) block evaluated at once: bounds the block-sized temporaries
+# rows (columns of a z = y matrix) evaluated at once: bounds the block-sized temporaries
 _CHUNK_ROWS = 64
 
 # the probabilists' Hermite polynomials He_k(u) = sum_j _HERMITE[k][j] * u**(k - 2j)
@@ -90,6 +90,7 @@ def _hermite_coefficients(jet: CoefficientJet, t: float, kappa: float, order: in
             h[k] = h[k] + f * pk
             f = f * step
         if kappa:  # with A = a'^2, B = A + a a'' and C = a' b/a + a a''/2 + 3A/2
+            del a2, a3, p2, p4, p6, f, step  # block-sized at the midpoint
             tk, big_b = t * kappa, ap2 + a * app
             big_c = ap * b / a + 0.5 * big_b + ap2
             h[0] = h[0] + tk * (kappa * big_b - bp)
@@ -179,18 +180,20 @@ def _kernel_rows(spec: KernelSpec, t: float, x: np.ndarray, y: np.ndarray):
 
 def _weighted_block(spec: KernelSpec, t: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """kernel_eval(spec, t, x[:, None], x[None, :]) * w bit for bit, for
-    increasing nodes x.  At z = x each chunk of rows evaluates, in reused
-    buffers, only the union of its rows' live columns |x - y| <= sqrt(2 Q_MAX
-    t) a (widened by 1e-9 of itself and by one node on each side); the rest
-    keep np.zeros' +0.0, the kernel's value there."""
+    increasing nodes x.  At z = x (z = y) one jet and one set of coefficients
+    serve the block, one per row (column), and each chunk of those nodes
+    evaluates, in reused buffers, only the union of their live partners
+    |x - y| <= sqrt(2 Q_MAX t) a (widened by 1e-9 of itself and by one node on
+    each side); the rest keep np.zeros' +0.0, the kernel's value there."""
     mat = np.zeros((x.size, x.size))
-    if spec.basepoint is not BasepointRule.AT_X:
+    if spec.basepoint is BasepointRule.MIDPOINT:  # z moves along both axes: no band
         for rows, k in _kernel_rows(spec, t, x, x):
             np.multiply(k, w, out=mat[rows])
         return mat
+    kappa = _KAPPA[spec.basepoint]  # 0 at z = x, 1 at z = y
     jet = spec.model.jet(x)
     with np.errstate(all="ignore"):  # a kernel that is not finite raises below
-        c = [np.broadcast_to(ck, x.shape) for ck in _coefficients(jet, t, 0.0, spec.order)]
+        c = [np.broadcast_to(ck, x.shape) for ck in _coefficients(jet, t, kappa, spec.order)]
         inv_var = np.broadcast_to(np.divide(-0.5, t * jet.a * jet.a), x.shape)
         _check_finite(t, inv_var, *c)
         half = sqrt(2.0 * Q_MAX * t) * (1.0 + 1e-9) * jet.a
@@ -198,13 +201,13 @@ def _weighted_block(spec: KernelSpec, t: float, x: np.ndarray, w: np.ndarray) ->
         floats = np.empty((2, _CHUNK_ROWS * x.size))
         mask = np.empty(floats.shape[1], bool)
         for start in range(0, x.size, _CHUNK_ROWS):
-            rows = slice(start, min(start + _CHUNK_ROWS, x.size))
-            band = slice(max(lo[rows].min() - 1, 0), min(hi[rows].max() + 1, x.size))
-            shape = (rows.stop - start, band.stop - band.start)
+            own = slice(start, min(start + _CHUNK_ROWS, x.size))
+            live = slice(max(lo[own].min() - 1, 0), min(hi[own].max() + 1, x.size))
+            rows, cols, idx = (live, own, (None, own)) if kappa else (own, live, (own, None))
+            shape = (rows.stop - rows.start, cols.stop - cols.start)
             d, neg_q, dead = (b[:shape[0] * shape[1]].reshape(shape) for b in (*floats, mask))
-            np.subtract(x[rows, None], x[None, band], out=d)
-            out = _gauss_poly([ck[rows, None] for ck in c], inv_var[rows, None], d, neg_q, dead,
-                              mat[rows, band])
+            np.subtract(x[rows, None], x[None, cols], out=d)
+            out = _gauss_poly([ck[idx] for ck in c], inv_var[idx], d, neg_q, dead, mat[rows, cols])
             _check_finite(t, out)
-            out *= w[band]
+            out *= w[cols]
     return mat

@@ -3,6 +3,7 @@ matrix, the composed solve, and its long-maturity error behavior."""
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,6 +102,12 @@ class TestKernelMatrix:
         np.testing.assert_array_equal(full, chunked)
         np.testing.assert_array_equal(curve, price_curve(spec, 0.05, CallPayoff(STRIKE), grid).values)
 
+    @pytest.mark.parametrize("rule", list(BasepointRule))
+    def test_matrix_is_c_contiguous(self, rule):
+        # a Fortran-ordered matrix changes the bits of mat @ u
+        mat, _ = kernel_matrix(KernelSpec(MODEL, 2, rule), 0.05, SpatialGrid.regular(10.0, 0.5))
+        assert mat.flags.c_contiguous
+
 
 BAND_MODELS = {
     "bsm": BSMModel(sigma=0.5, r=0.1),
@@ -113,24 +120,28 @@ BAND_GRIDS = {
     "from_one": SpatialGrid(1.0, 41.0, 0.05),
 }
 BAND_TAUS = (0.0125, 0.025, 0.05, 0.1, 0.2)
+BAND_RULES = (BasepointRule.AT_X, BasepointRule.AT_Y)
 
 
 def _assert_dense_bytes(spec, tau, xs, w):
-    """The block on increasing nodes xs with weights w, and its row sums,
-    carry the bytes of kernel_eval * w, evaluated dense 64 rows at a time: an
-    out-of-band -0.0 or a stray subnormal fails."""
-    mat = _weighted_block(spec, tau, xs, w)
-    mass = mat.sum(axis=1)
-    for start in range(0, xs.size, 64):
-        rows = slice(start, start + 64)
-        want = kernel_eval(spec, tau, xs[rows, None], xs[None, :]) * w
-        assert want.tobytes() == mat[rows].tobytes(), f"rows {start}+ at tau={tau}"
-        assert want.sum(axis=1).tobytes() == mass[rows].tobytes(), f"row sums {start}+"
+    """At z = x and at z = y, the block on increasing nodes xs with weights w,
+    and its row sums, carry the bytes of kernel_eval * w, evaluated dense 64
+    rows at a time: an out-of-band -0.0 or a stray subnormal fails."""
+    for rule in BAND_RULES:
+        spec = replace(spec, basepoint=rule)
+        mat = _weighted_block(spec, tau, xs, w)
+        mass = mat.sum(axis=1)
+        for start in range(0, xs.size, 64):
+            rows = slice(start, start + 64)
+            want = kernel_eval(spec, tau, xs[rows, None], xs[None, :]) * w
+            assert want.tobytes() == mat[rows].tobytes(), f"{rule}: rows {start}+ at tau={tau}"
+            assert want.sum(axis=1).tobytes() == mass[rows].tobytes(), f"{rule}: row sums {start}+"
 
 
 class TestKernelMatrixBand:
-    """At z = x the matrix evaluates only each chunk's live band; every entry
-    and row sum must keep the bytes of the dense evaluation."""
+    """At z = x (z = y) the matrix evaluates only the live band of each chunk
+    of rows (columns); every entry and row sum must keep the bytes of the
+    dense evaluation."""
 
     @pytest.mark.parametrize("grid", sorted(BAND_GRIDS))
     @pytest.mark.parametrize("model", sorted(BAND_MODELS))
@@ -150,8 +161,8 @@ class TestKernelMatrixBand:
                 _assert_dense_bytes(KernelSpec(BAND_MODELS[model], order), tau, xs, w)
 
     def test_band_edges_across_chunk_edges(self, monkeypatch):
-        # 7-row chunks: the union of the live columns changes inside what
-        # would be one 64-row chunk
+        # 7-node chunks: the union of the live partners changes inside what
+        # would be one 64-node chunk
         monkeypatch.setattr("lvkernel.kernel._CHUNK_ROWS", 7)
         for order in (0, 1, 2):
             for tau in BAND_TAUS:
@@ -165,9 +176,10 @@ class TestKernelMatrixBand:
         # still the kernel's +0.0, in the band as outside it
         spec = KernelSpec(BAND_MODELS["cev"], order)
         grid = SpatialGrid(1e-6, 3.0, 0.01)
-        mat, _ = kernel_matrix(spec, 0.0125, grid)
-        assert mat[0, -1] == 0.0 and not np.signbit(mat[0, -1])
-        assert not np.any(np.signbit(mat[mat == 0.0]))
+        for rule in BAND_RULES:
+            mat, _ = kernel_matrix(replace(spec, basepoint=rule), 0.0125, grid)
+            assert mat[0, -1] == 0.0 and not np.signbit(mat[0, -1])
+            assert not np.any(np.signbit(mat[mat == 0.0]))
         _assert_dense_bytes(spec, 0.0125, grid.nodes, grid.weights)
 
     @pytest.mark.parametrize("rule", list(BasepointRule))
@@ -184,17 +196,19 @@ class TestKernelMatrixBand:
     def test_peak_memory_is_the_matrix_and_reused_chunk_buffers(self):
         # allocating each chunk's temporaries afresh, the build peaked at
         # n^2*8 plus 5.3 blocks of 64 rows; with two float buffers and one
-        # mask reused across chunks it peaks at 2.6
+        # mask reused across chunks it peaks at 2.6, at either rule (z = y
+        # built dense, 64 rows at a time, peaked at 4.4)
         grid = SpatialGrid.regular(200.0, 0.1)
         n = grid.n_nodes
-        spec = KernelSpec(BSMModel(sigma=0.5, r=0.1), order=2)
-        tracemalloc.start()
-        try:
-            kernel_matrix(spec, 0.1, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < n * n * 8 + 4 * (64 * n * 8)
+        for rule in BAND_RULES:
+            spec = KernelSpec(BSMModel(sigma=0.5, r=0.1), order=2, basepoint=rule)
+            tracemalloc.start()
+            try:
+                kernel_matrix(spec, 0.1, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n * n * 8 + 4 * (64 * n * 8), rule
 
 
 def _uncut_rows(spec, tau, xs, w, rows):
@@ -275,6 +289,28 @@ class TestBootstrapSolve:
         mask = (grid.nodes >= 15.0) & (grid.nodes <= 25.0)
         diff = np.max(np.abs(one.values[mask] - five.values[mask]))
         assert diff < 1e-6
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_low_order_composition_with_drift_warns(self, order):
+        # BSM sigma 0.3, r 0.1, K 20, T 1: order 1 is 2.27 off on (0, 40] at
+        # 10 steps and 2.29 at 40, order 0 1.87 and 1.88; order 2 converges
+        spec = KernelSpec(BSMModel(sigma=0.3, r=0.1), order=order)
+        config = BootstrapConfig(spec, t_total=0.2, n_steps=2, grid=SpatialGrid.regular(40.0, 0.1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bootstrap_solve(config, CallPayoff(20.0))
+        assert [(w.category, str(w.message)) for w in caught] == [(UserWarning, (
+            f"an order-{order} composition does not converge in the step count when the "
+            "model has drift (b or c not 0): use order 2"))]
+
+    def test_driftless_low_order_composition_does_not_warn(self):
+        # at r = 0 order 1 converges: 5.0e-3 at 10 steps, 1.3e-3 at 40
+        spec = KernelSpec(BSMModel(sigma=0.3), order=1)
+        grid = SpatialGrid.regular(200.0, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            for n_steps in (10, 40):
+                bootstrap_solve(BootstrapConfig(spec, 1.0, n_steps, grid), CallPayoff(20.0))
 
 
 class TestFirstHop:

@@ -24,6 +24,21 @@ def test_star_import_resolves(module):
     assert set(exported) <= set(namespace)
 
 
+def test_public_names_are_pinned():
+    # a name added to or dropped from the package's surface shows here
+    assert sorted(lvkernel.__all__) == [
+        "BSMModel", "BasepointRule", "BootstrapConfig", "ButterflyPayoff", "CEVModel",
+        "CNConfig", "CallPayoff", "CoefficientJet", "CustomModel", "DegenerateCoefficient",
+        "DomainError", "GridTooCoarseWarning", "KernelSpec", "LVKernelError", "Model",
+        "Payoff", "PriceCurve", "PutPayoff", "SampledPayoff", "SingularMatrix",
+        "SpatialGrid", "TimeDependentBSMModel", "__version__", "basepoint",
+        "bootstrap_error_table", "bootstrap_solve", "bs_delta", "bs_exact", "bs_gamma",
+        "bs_kernel", "cn_solve", "curve_greeks", "greeks", "hagan_woodward_price",
+        "hagan_woodward_vol", "kernel_eval", "kernel_matrix", "model_from_dict",
+        "model_from_file", "model_from_json", "price_butterfly_closed", "price_call_closed",
+        "price_curve", "price_put", "price_quadrature", "simpson_weights"]
+
+
 def test_package_names_resolve_once():
     names = lvkernel.__all__
     assert len(set(names)) == len(names)
