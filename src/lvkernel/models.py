@@ -59,8 +59,11 @@ class CoefficientJet:
     c: ArrayLike
 
     def validate(self) -> "CoefficientJet":
+        arr = [v for v in vars(self).values() if not isinstance(v, (float, int))]
+        # one pass over all fields while short; a long array is cheaper a field at a time
+        ok = not arr or np.size(arr[0]) <= 1024 and np.isfinite(np.concatenate(arr, None)).all()
         for name, v in vars(self).items():
-            if not (math.isfinite(v) if isinstance(v, (float, int)) else np.isfinite(v).all()):
+            if not (math.isfinite(v) if isinstance(v, (float, int)) else ok or np.isfinite(v).all()):
                 raise DegenerateCoefficient(f"jet field {name} is not finite")
         a = self.a
         if not (a > 0.0 if isinstance(a, (float, int)) else (np.asarray(a) > 0.0).all()):

@@ -5,6 +5,7 @@ payoffs, puts via parity, finite-difference Greeks."""
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -39,26 +40,23 @@ _MAXLOG = 7.09782712893383996843e2  # exp(-z^2) underflows past z^2 = MAXLOG
 # exp(-q) underflows past this.  The closed forms are full-line moments: cut at kernel.Q_MAX,
 # their s phi(mu) term would leave Phi(mu) times the forward uncancelled far out of the money
 _EXP_UNDERFLOW = 745.0
+_LOOP_MAX = 1024  # Phi of ~1 us an element: at most ~1 ms, against ~0.3 s to load ndtr
 
 
 def _norm_cdf(x: ArrayLike) -> ArrayLike:
     """Standard normal CDF Phi, the package's one copy.
 
-    It has two branches so that `import lvkernel` loads no SciPy: loading
-    scipy.special costs a fresh process about 0.3 s, more than a closed-form
-    quote.  Arrays go to scipy.special.ndtr, imported on first use.  A Python
-    or NumPy float takes the Cephes formulas that ndtr runs (S. L. Moshier,
-    Methods and Programs for Mathematical Functions, 1989) in the same order
-    of operations, so it returns ndtr's bits and a scalar quote equals the
-    same spot of an array quote: erf(z) = z T(z^2) / U(z^2) for z < 1, and
-    erfc(z) = (exp(-z^2) P(z)) / Q(z) below 8 and (exp(-z^2) R(z)) / S(z)
-    from 8, at z = |x| / sqrt(2).  U, Q and S are monic; the Horner sums are
-    written out because a loop costs twice as much.  NaN falls through to NaN.
+    A short run loads no SciPy, as scipy.special costs a fresh process about
+    0.3 s.  A Python or NumPy float takes the Cephes formulas that
+    scipy.special.ndtr runs (S. L. Moshier, Methods and Programs for
+    Mathematical Functions, 1989) in the same order of operations, so it
+    returns ndtr's bits: erf(z) = z T(z^2) / U(z^2) for z < 1, and erfc(z) =
+    (exp(-z^2) P(z)) / Q(z) below 8 and (exp(-z^2) R(z)) / S(z) from 8, at
+    z = |x| / sqrt(2).  U, Q and S are monic; the Horner sums are written
+    out because a loop costs twice as much.  NaN falls through to NaN.
     """
     if not isinstance(x, float):
-        from scipy.special import ndtr
-
-        return ndtr(x)
+        return _ndtr(x)
     u = float(x) * _SQRT1_2
     z = abs(u)
     if z < 1.0:
@@ -94,6 +92,17 @@ def _norm_cdf(x: ArrayLike) -> ArrayLike:
                                  * z + 1.20489539808096656605e1) * z + 1.70814450747565897222e1)
                                * z + 9.60896809063285878198e0) * z + 3.36907645100081516050e0))
     return 1.0 - half_erfc if u > 0.0 else half_erfc
+
+
+def _ndtr(x) -> ArrayLike:
+    """Phi of all but floats until it binds scipy.special.ndtr in its own place: while that is
+    not loaded, a float64 ndarray of at most _LOOP_MAX elements loops the float branch."""
+    global _ndtr
+    if (type(x) is np.ndarray and x.dtype == np.float64 and x.size <= _LOOP_MAX
+            and "scipy.special" not in sys.modules):  # [()] makes a 0-d result np.float64
+        return np.reshape([_norm_cdf(v) for v in x.ravel().tolist()], x.shape)[()]
+    from scipy.special import ndtr as _ndtr
+    return _ndtr(x)
 
 
 def _check_strike(K: float) -> None:

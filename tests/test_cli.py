@@ -579,6 +579,17 @@ class TestFlagTable:
         assert unused == []
 
 
+def _scipy_after(argv) -> str:
+    """'<exit code> <sorted scipy modules>' after main(argv) in a fresh process."""
+    code = (f"import sys, lvkernel.cli; code = lvkernel.cli.main({argv!r}); "
+            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lvkernel.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 class TestModuleEntryPoint:
     def test_subprocess_smoke(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(lvkernel.__file__)))
@@ -602,10 +613,26 @@ class TestModuleEntryPoint:
     def test_scalar_quote_and_kernel_load_no_scipy(self, argv):
         # the scalar Phi needs no scipy.special, so these commands never pay
         # about 0.3 s of a fresh process to load it
-        code = (f"import sys, lvkernel.cli; code = lvkernel.cli.main({argv!r}); "
-                "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(lvkernel.__file__)))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              timeout=120, env=dict(os.environ, PYTHONPATH=src))
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 []"
+        assert _scipy_after(argv) == "0 []"
+
+    @pytest.mark.parametrize("argv, loads_special", [
+        (["greeks", "--model", BSM_JSON, "--order", "2", "--t", "0.5", "--payoff", "call",
+          "--strike", "20", "--grid", "10:30:0.5"], False),
+        (["compare", "--model", BSM_JSON, "--oracle", "bs-exact", "--method", "order1",
+          "--grid", "12:18:1", "--times", "0.01,0.05,0.1,0.2,0.5", "--strike", "15"], False),
+        (["bootstrap", "--model", '{"kind": "bsm", "sigma": 0.5, "r": 0.1}', "--order", "2",
+          "--t", "1.0", "--steps", "10", "--xmax", "50", "--dx", "0.1", "--payoff", "call",
+          "--strike", "20", "--compare-oracle", "bs-exact"], False),
+        # the README's example: Phi of 2,000 nodes is past pricing._LOOP_MAX
+        (["bootstrap", "--model", '{"kind": "bsm", "sigma": 0.5, "r": 0.1}', "--order", "2",
+          "--t", "1.0", "--steps", "10", "--xmax", "200", "--dx", "0.1", "--payoff", "call",
+          "--strike", "20", "--compare-oracle", "bs-exact"], True),
+    ], ids=["greeks-grid", "compare", "bootstrap-500", "bootstrap-2000"])
+    def test_short_array_runs_load_no_scipy(self, argv, loads_special):
+        # Phi of at most 1,024 spots loops the scalar branch until scipy.special is loaded
+        code, modules = _scipy_after(argv).split(" ", 1)
+        assert code == "0"
+        if loads_special:
+            assert "'scipy.special'" in modules
+        else:
+            assert modules == "[]"

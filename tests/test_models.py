@@ -224,7 +224,8 @@ def _jet_with(name, value, size=None):
 class TestJetChecks:
     @pytest.mark.parametrize("name", JET_FIELDS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("size", [None, 64], ids=["scalar", "array64"])
+    # validate checks up to 1,024 elements in one pass and longer arrays a field at a time
+    @pytest.mark.parametrize("size", [None, 64, 2000], ids=["scalar", "array64", "array2000"])
     def test_nonfinite_field_is_named(self, name, bad, size):
         with pytest.raises(DegenerateCoefficient, match=f"jet field {name} is not finite"):
             _jet_with(name, bad, size).validate()
@@ -235,7 +236,7 @@ class TestJetChecks:
         with pytest.raises(DegenerateCoefficient, match="diffusion coefficient a must be positive"):
             _jet_with("a", bad, size).validate()
 
-    @pytest.mark.parametrize("size", [None, 64], ids=["scalar", "array64"])
+    @pytest.mark.parametrize("size", [None, 64, 2000], ids=["scalar", "array64", "array2000"])
     def test_valid_jet_passes(self, size):
         jet = _jet_with("a", 2.0, size)
         assert jet.validate() is jet

@@ -33,6 +33,26 @@ import lvkernel
 from lvkernel.oracles import _norm_cdf, _norm_pdf, _reference
 
 
+def _cdf_probes() -> np.ndarray:
+    """Phi's probe points: both sides of each branch edge of the scalar Cephes
+    transcription, |x|/sqrt(2) = 1/sqrt(2), 1 and 8, and x^2/2 = MAXLOG, a dense
+    line over [-40, 40], signed zeros, infinities, NaN and subnormals."""
+    edges = [1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), np.sqrt(2.0 * 7.09782712893383996843e2)]
+    near = [e + k * np.spacing(e) for e in edges for k in range(-50, 51)]
+    near += [e * (1.0 + f) for e in edges for f in np.linspace(-1e-3, 1e-3, 2001)]
+    return np.concatenate([np.linspace(-40.0, 40.0, 160001), near, np.negative(near),
+                           [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310]])
+
+
+def _fresh(code: str, *args) -> str:
+    """The stdout of `python -c code *args` in a fresh process that imports this lvkernel."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lvkernel.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestNormalFunctions:
     def test_cdf_against_erf(self):
         xs = np.linspace(-8.0, 8.0, 161)
@@ -40,18 +60,49 @@ class TestNormalFunctions:
         np.testing.assert_allclose(_norm_cdf(xs), want, rtol=0, atol=1e-15)
 
     def test_scalar_cdf_is_ndtr_bit_for_bit(self):
-        # the scalar branch transcribes Cephes ndtr; probe both sides of each
-        # branch edge: |x|/sqrt(2) = 1/sqrt(2), 1 and 8, and x^2/2 = MAXLOG
-        edges = [1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), np.sqrt(2.0 * 7.09782712893383996843e2)]
-        near = [e + k * np.spacing(e) for e in edges for k in range(-50, 51)]
-        near += [e * (1.0 + f) for e in edges for f in np.linspace(-1e-3, 1e-3, 2001)]
-        xs = np.concatenate([np.linspace(-40.0, 40.0, 160001), near, np.negative(near),
-                             [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310]])
+        xs = _cdf_probes()
         want = ndtr(xs)
         as_float = np.array([_norm_cdf(float(x)) for x in xs])
         as_float64 = np.array([_norm_cdf(x) for x in xs])  # iterating yields np.float64
         assert np.array_equal(as_float, want, equal_nan=True)
         assert np.array_equal(as_float64, want, equal_nan=True)
+
+    def test_short_array_loop_is_ndtr_bit_for_bit(self, tmp_path):
+        # this module loads scipy.special, so the loop runs in a fresh process
+        grid = np.linspace(-9.0, 9.0, 1025)
+        cases = {"probes": _cdf_probes(), "zero_d": np.array(0.3), "empty": np.empty((0, 4)),
+                 "two_d": grid[:1024].reshape(32, 32), "strided": grid[::3],
+                 "view_2d": grid[:1000].reshape(20, 50)[::2, 1::3].T, "n1024": grid[:1024]}
+        np.savez(tmp_path / "in.npz", **cases)
+        code = (
+            "import sys; import numpy as np; from lvkernel import pricing\n"
+            "cases = dict(np.load(sys.argv[1]))\n"
+            "xs = cases.pop('probes')\n"
+            "out = {k: pricing._norm_cdf(v) for k, v in cases.items()}\n"
+            "out['probes'] = np.concatenate([pricing._norm_cdf(xs[i:i + 1024])\n"
+            "                                for i in range(0, xs.size, 1024)])\n"
+            "print(type(out['zero_d']).__name__, 'scipy.special' in sys.modules)\n"
+            "out['n1025'] = pricing._norm_cdf(np.linspace(-9.0, 9.0, 1025))\n"
+            "import scipy.special\n"
+            "print(pricing._ndtr is scipy.special.ndtr)\n"
+            "np.savez(sys.argv[2], **out)\n")
+        assert _fresh(code, tmp_path / "in.npz", tmp_path / "out.npz") == "float64 False\nTrue\n"
+        got = np.load(tmp_path / "out.npz")
+        for name, x in dict(cases, n1025=grid).items():
+            assert got[name].shape == x.shape and got[name].dtype == np.float64, name
+            assert np.array_equal(got[name], ndtr(x), equal_nan=True), name
+
+    @pytest.mark.parametrize("setup", [
+        "import scipy.special; x = np.linspace(-3.0, 3.0, 64)",
+        "x = np.linspace(-3.0, 3.0, 64, dtype=np.float32)",
+        "x = np.arange(-32, 32)",
+    ], ids=["scipy-loaded", "float32", "int64"])
+    def test_array_goes_to_ndtr(self, setup):
+        # once scipy.special is loaded, or for any array but float64, Phi binds ndtr
+        code = (f"import sys; import numpy as np; from lvkernel import pricing; {setup}; "
+                "out = pricing._norm_cdf(x); from scipy.special import ndtr; "
+                "print(pricing._ndtr is ndtr, np.array_equal(out, ndtr(x)))")
+        assert _fresh(code) == "True True\n"
 
     def test_pdf_values(self):
         assert _norm_pdf(0.0) == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), rel=1e-15)
@@ -393,8 +444,8 @@ class TestCrankNicolson:
 
 
 def test_import_leaves_sparse_and_linalg_unloaded():
-    # cn_solve imports scipy.sparse and scipy.linalg when it runs, and an array
-    # Phi scipy.special; importing the package or its CLI loads no SciPy.  The
+    # cn_solve imports scipy.sparse and scipy.linalg when it runs, and Phi of an
+    # array past 1,024 elements scipy.special; importing the package or its CLI loads no SciPy.  The
     # package's own modules load in a fixed order: one moved import once cost a
     # fresh process about 3,400 more minor page faults and 50 ms of set-up.
     scipy_modules = "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
