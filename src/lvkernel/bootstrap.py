@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, GridTooCoarseWarning
 from .grid import PriceCurve, SpatialGrid
-from .kernel import _KAPPA, KernelSpec, _hermite_coefficients, _weighted_block
+from .kernel import _KAPPA, KernelSpec, _hermite_coefficients, _is_int, _weighted_block
 from .models import BasepointRule
 from .pricing import Payoff, _norm_cdf, _why_no_closed_form, price_curve
 
@@ -37,9 +37,8 @@ class BootstrapConfig:
     def __post_init__(self) -> None:
         if not np.isfinite(self.t_total) or self.t_total <= 0.0:
             raise DomainError("t_total must be positive and finite")
-        n = self.n_steps
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise DomainError(f"n_steps must be an integer at least 1, got {n!r}")
+        if not _is_int(self.n_steps) or self.n_steps < 1:
+            raise DomainError(f"n_steps must be an integer at least 1, got {self.n_steps!r}")
 
     @property
     def tau(self) -> float:
@@ -65,9 +64,9 @@ def kernel_matrix(spec: KernelSpec, tau: float,
     return mat, mat.sum(axis=1)
 
 
-def _mass_check(spec: KernelSpec, tau: float, grid: SpatialGrid,
-                mat: np.ndarray, mass: np.ndarray) -> None:
-    """Warn when quadrature fails to resolve the kernel on usable nodes.
+def _mass_check(config: BootstrapConfig, mat: np.ndarray, mass: np.ndarray) -> None:
+    """Warn when quadrature fails to resolve the kernel on usable nodes, and
+    run the drift test of bootstrap_solve on the same jet of the nodes, last.
 
     The kernel's exact mass is h_0 of the jet at z: over y at z = x, held
     against the row sums, and over x at z = y, held against the column masses
@@ -77,11 +76,14 @@ def _mass_check(spec: KernelSpec, tau: float, grid: SpatialGrid,
     (width w at least two grid steps) are held to the mass tolerance.  A
     kernel fits when its Gaussian mass past the ends, Phi((x_min - x)/w) +
     Phi((x - x_max)/w), is below _MASS_TOL/100, as its order-2 terms fatten
-    that tail up to 40-fold.  Unresolvable rows near the left cutoff are expected
-    for vanishing-at-zero diffusions and go unchecked, although a put carries
-    payoff mass there and its composed price can blow up unreported
-    (ROADMAP.md item 2: integrate those rows exactly).
+    that tail up to 40-fold; a defect comes from the spacing or from series
+    terms whose tail still reaches past the grid, which no spacing removes.
+    Unresolvable rows near the left cutoff are expected for vanishing-at-zero
+    diffusions and go unchecked, although a put carries payoff mass there and
+    its composed price can blow up unreported (ROADMAP.md item 2: integrate
+    those rows exactly).
     """
+    spec, tau, grid = config.spec, config.tau, config.grid
     xs = grid.nodes
     jet = spec.model.jet(xs)
     width = jet.a * np.sqrt(tau)
@@ -94,20 +96,23 @@ def _mass_check(spec: KernelSpec, tau: float, grid: SpatialGrid,
             GridTooCoarseWarning,
             stacklevel=3,
         )
-        return
-    if spec.basepoint is BasepointRule.MIDPOINT:
-        return
-    if spec.basepoint is BasepointRule.AT_Y:
-        mass = grid.weights @ mat / grid.weights
-    h0 = _hermite_coefficients(jet, tau, _KAPPA[spec.basepoint], spec.order)[0]
-    defect = np.max(np.abs(mass - h0)[gated])
-    if defect > _MASS_TOL:
-        warnings.warn(
-            f"kernel mass defect {defect:.3e} exceeds {_MASS_TOL:.0e}; "
-            "grid spacing is too coarse for the sub-step width",
-            GridTooCoarseWarning,
-            stacklevel=3,
-        )
+    elif spec.basepoint is not BasepointRule.MIDPOINT:
+        if spec.basepoint is BasepointRule.AT_Y:
+            mass = grid.weights @ mat / grid.weights
+        h0 = _hermite_coefficients(jet, tau, _KAPPA[spec.basepoint], spec.order)[0]
+        defect = np.max(np.abs(mass - h0)[gated])
+        if defect > _MASS_TOL:
+            warnings.warn(
+                f"kernel mass defect {defect:.3e} exceeds {_MASS_TOL:.0e}: either the grid "
+                "spacing is too coarse for the sub-step width or the kernel's series terms "
+                "reach past the grid",
+                GridTooCoarseWarning,
+                stacklevel=3,
+            )
+    if config.n_steps >= 2 and spec.order < 2 and (np.any(jet.b != 0.0) or np.any(jet.c != 0.0)):
+        warnings.warn(f"an order-{spec.order} composition does not converge in the step "
+                      "count when the model has drift (b or c not 0): use order 2",
+                      stacklevel=3)
 
 
 def bootstrap_solve(config: BootstrapConfig, payoff: Payoff) -> PriceCurve:
@@ -121,25 +126,16 @@ def bootstrap_solve(config: BootstrapConfig, payoff: Payoff) -> PriceCurve:
     mass-checked only when a hop needs it, so one closed-form step builds none.
     Orders 0 and 1 miss the drift's O(tau) terms, which n steps add up to an
     error that does not fall with n: composing them over two or more steps of
-    a model whose b or c is not 0 on the grid warns.
+    a model whose b or c is not 0 on the grid warns, after the matrix check.
     """
-    spec = config.spec
-    tau = config.tau
-    grid = config.grid
-    if config.n_steps >= 2 and spec.order < 2:
-        jet = spec.model.jet(grid.nodes)
-        if np.any(jet.b != 0.0) or np.any(jet.c != 0.0):
-            warnings.warn(f"an order-{spec.order} composition does not converge in the step "
-                          "count when the model has drift (b or c not 0): use order 2",
-                          stacklevel=2)
-        del jet  # alive through the matrix build, its arrays cost compose 28 MB of peak RSS
+    spec, grid = config.spec, config.grid
     closed = _why_no_closed_form(spec, payoff) is None
     hops = config.n_steps - 1 if closed else config.n_steps
     if hops:
-        mat, mass = kernel_matrix(spec, tau, grid)
-        _mass_check(spec, tau, grid, mat, mass)
+        mat, mass = kernel_matrix(spec, config.tau, grid)
+        _mass_check(config, mat, mass)
     if closed:
-        u = price_curve(spec, tau, payoff, grid, method="closed").values
+        u = price_curve(spec, config.tau, payoff, grid, method="closed").values
     else:
         u = np.asarray(payoff(grid.nodes), dtype=float)
     for _ in range(hops):

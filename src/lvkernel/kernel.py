@@ -56,8 +56,15 @@ class KernelSpec:
     basepoint: BasepointRule = BasepointRule.AT_X
 
     def __post_init__(self) -> None:
-        if self.order not in (0, 1, 2):
-            raise DomainError(f"kernel order must be 0, 1 or 2, got {self.order}")
+        if not _is_int(self.order) or self.order not in (0, 1, 2):
+            raise DomainError(f"kernel order must be 0, 1 or 2, got {self.order!r}")
+        if not isinstance(self.basepoint, BasepointRule):
+            raise DomainError(f"basepoint must be a BasepointRule, got {self.basepoint!r}")
+
+
+def _is_int(value) -> bool:
+    """Whether value is a Python or NumPy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _hermite_coefficients(jet: CoefficientJet, t: float, kappa: float, order: int) -> list:
@@ -146,28 +153,24 @@ def _gauss_poly(c: list, inv_var, d, neg_q, dead, out):
     return np.multiply(out, poly, out=out)
 
 
-def _kernel(jet: CoefficientJet, t: float, x: ArrayLike, y: ArrayLike, kappa: float,
-            order: int) -> ArrayLike:
-    """G_0(d) sum_k C_k d^k, exactly +0.0 wherever q = d^2/(2 t a^2) > Q_MAX.
+def kernel_eval(spec: KernelSpec, t: float, x: ArrayLike, y: ArrayLike) -> ArrayLike:
+    """Evaluate the order-n kernel with the basepoint rule of ``spec``:
+    G_0(d) sum_k C_k d^k with the jet at z(x, y), exactly +0.0 wherever
+    q = d^2/(2 t a^2) > Q_MAX.
 
     A width a sqrt(t) so small that a C_k or 0.5/(t a^2) overflows (BSM
     sigma = 0.3, t = 0.1: spots below 1e-43 at order 2, 5e-154 at any order)
     raises DegenerateCoefficient.
     """
+    jet = spec.model.jet(basepoint(spec.basepoint, x, y))
     with np.errstate(all="ignore"):  # a kernel that is not finite raises below
-        c = _coefficients(jet, t, kappa, order)
+        c = _coefficients(jet, t, _KAPPA[spec.basepoint], spec.order)
         d = np.subtract(x, y, dtype=float)
         inv_var = np.divide(-0.5, t * jet.a * jet.a)
         shape = np.broadcast(d, inv_var, *c).shape
         out = _gauss_poly(c, inv_var, d, np.empty(shape), np.empty(shape, bool), np.empty(shape))
     _check_finite(t, inv_var, out, *c)
     return out[()] if out.ndim == 0 else out
-
-
-def kernel_eval(spec: KernelSpec, t: float, x: ArrayLike, y: ArrayLike) -> ArrayLike:
-    """Evaluate the order-n kernel with the basepoint rule of ``spec``."""
-    z = basepoint(spec.basepoint, x, y)
-    return _kernel(spec.model.jet(z), t, x, y, _KAPPA[spec.basepoint], spec.order)
 
 
 def _kernel_rows(spec: KernelSpec, t: float, x: np.ndarray, y: np.ndarray):

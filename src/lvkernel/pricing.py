@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, GridTooCoarseWarning
 from .grid import PriceCurve, SpatialGrid, simpson_weights
-from .kernel import KernelSpec, _he_to_power, _hermite_coefficients, _kernel_rows
+from .kernel import KernelSpec, _he_to_power, _hermite_coefficients, _is_int, _kernel_rows
 from .models import BasepointRule, CoefficientJet, Model
 
 __all__ = [
@@ -183,25 +183,9 @@ class SampledPayoff(PriceCurve, Payoff):
 
 
 def _order_fault(order: int) -> Optional[str]:
-    """Why no closed form of this expansion order exists, or None (1 and 2)."""
-    return None if order in (1, 2) else f"price order must be 1 or 2, got {order}"
-
-
-def _check_quote(order: int, t: float, K: float) -> None:
-    if (fault := _order_fault(order)) is not None:
-        raise DomainError(fault)
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError(f"time must be positive and finite, got {t}")
-    _check_strike(K)
-
-
-def _spot(x: ArrayLike) -> ArrayLike:
-    return np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
-
-
-def _as_input_kind(value: ArrayLike, x: ArrayLike) -> ArrayLike:
-    """A Python float for a scalar spot x, else the array as it is."""
-    return value if isinstance(x, np.ndarray) else float(value)
+    """Why no closed form of this expansion order exists, or None (ints 1 and 2, no bool)."""
+    ok = _is_int(order) and order in (1, 2)
+    return None if ok else f"price order must be 1 or 2, got {order!r}"
 
 
 def _forward(order: int, jet: CoefficientJet, t: float, m: ArrayLike) -> ArrayLike:
@@ -243,6 +227,28 @@ def _calls(order: int, jet: CoefficientJet, t: float, strikes, x: ArrayLike) -> 
     return calls
 
 
+def _closed(order: int, model: Model, t: float, payoff: Payoff, x: ArrayLike) -> ArrayLike:
+    """The one body of every closed form: the payoff's calls from one jet at
+    z = x, less the forward for a put, three weighted calls for a butterfly;
+    a Python float for a scalar spot.  The jet dies with _calls, before the
+    butterfly's calls combine; only the put keeps it, for the forward."""
+    if (fault := _order_fault(order)) is not None:
+        raise DomainError(fault)
+    if not math.isfinite(t) or t <= 0.0:
+        raise DomainError(f"time must be positive and finite, got {t}")
+    xs = np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
+    if isinstance(payoff, ButterflyPayoff):
+        w1, w2, w3 = payoff.call_weights
+        c1, c2, c3 = _calls(order, model.jet(xs), t, (payoff.k1, payoff.k, payoff.k2), xs)
+        value = w1 * c1 - w2 * c2 + w3 * c3
+    elif isinstance(payoff, PutPayoff):
+        jet, K = model.jet(xs), payoff.strike
+        value = _calls(order, jet, t, (K,), xs)[0] - _forward(order, jet, t, xs - K)
+    else:
+        value = _calls(order, model.jet(xs), t, (payoff.strike,), xs)[0]
+    return value if isinstance(x, np.ndarray) else float(value)
+
+
 def price_call_closed(order: int, model: Model, t: float, K: float, x: ArrayLike) -> ArrayLike:
     """Closed-form call price of order 1 or 2 at basepoint z = x.
 
@@ -255,9 +261,7 @@ def price_call_closed(order: int, model: Model, t: float, K: float, x: ArrayLike
     because int_{u<mu} phi(u) He_k(u) (m - s u) du = s phi(mu) He_{k-2}(mu)
     for k >= 2; h_0 m - h_1 s = m + b t (+ c t m at order 2) is the forward.
     """
-    _check_quote(order, t, K)
-    xs = _spot(x)
-    return _as_input_kind(_calls(order, model.jet(xs), t, (K,), xs)[0], x)
+    return _closed(order, model, t, CallPayoff(K), x)
 
 
 def price_put(order: int, model: Model, t: float, K: float, x: ArrayLike) -> ArrayLike:
@@ -268,20 +272,13 @@ def price_put(order: int, model: Model, t: float, K: float, x: ArrayLike) -> Arr
     money can be negative: price_put(1, BSMModel(0.3, 0.1), 0.1, 15.0, 20.0)
     is -1.30e-3.  The order-2 price there is +8.9e-4.
     """
-    _check_quote(order, t, K)
-    xs = _spot(x)
-    jet = model.jet(xs)
-    return _as_input_kind(_calls(order, jet, t, (K,), xs)[0] - _forward(order, jet, t, xs - K), x)
+    return _closed(order, model, t, PutPayoff(K), x)
 
 
 def price_butterfly_closed(order: int, model: Model, t: float, payoff: ButterflyPayoff,
                            x: ArrayLike) -> ArrayLike:
     """Closed-form butterfly price as a linear combination of three calls."""
-    _check_quote(order, t, payoff.k1)
-    xs = _spot(x)
-    w1, w2, w3 = payoff.call_weights
-    c1, c2, c3 = _calls(order, model.jet(xs), t, (payoff.k1, payoff.k, payoff.k2), xs)
-    return _as_input_kind(w1 * c1 - w2 * c2 + w3 * c3, x)
+    return _closed(order, model, t, payoff, x)
 
 
 def price_quadrature(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike,
@@ -360,15 +357,9 @@ def _why_no_closed_form(spec: KernelSpec, payoff: Payoff) -> Optional[str]:
 
 
 def _price_closed_dispatch(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike) -> ArrayLike:
-    reason = _why_no_closed_form(spec, payoff)
-    if reason is not None:
+    if (reason := _why_no_closed_form(spec, payoff)) is not None:
         raise DomainError(reason)
-    order = spec.order
-    if isinstance(payoff, CallPayoff):
-        return price_call_closed(order, spec.model, t, payoff.strike, x)
-    if isinstance(payoff, PutPayoff):
-        return price_put(order, spec.model, t, payoff.strike, x)
-    return price_butterfly_closed(order, spec.model, t, payoff, x)
+    return _closed(spec.order, spec.model, t, payoff, x)
 
 
 def greeks(price_fn: Callable[[float, ArrayLike], ArrayLike], t: float, x: ArrayLike,

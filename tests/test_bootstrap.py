@@ -48,6 +48,19 @@ REFERENCE_SUP_ERRORS = {
 
 MODEL = BSMModel(sigma=0.5, r=0.1)
 STRIKE = 20.0
+MASS_DEFECT = ("kernel mass defect {} exceeds 1e-04: either the grid spacing is too coarse for "
+               "the sub-step width or the kernel's series terms reach past the grid")
+
+
+def _sloped_model(da_dx, b=0.0):
+    """a = 1 with the slope a' = da_dx, drift b and no discounting."""
+
+    def jet_fn(z):
+        zero = np.zeros_like(np.asarray(z, dtype=float))
+        return CoefficientJet(a=1.0 + zero, da_dx=da_dx + zero, d2a_dx2=zero, da_dt=zero,
+                              b=b + zero, db_dx=zero, c=zero)
+
+    return CustomModel(jet_fn)
 
 
 def _call_error_curve(curve, t, window=(0.0, 40.0)):
@@ -303,6 +316,27 @@ class TestBootstrapSolve:
             f"an order-{order} composition does not converge in the step count when the "
             "model has drift (b or c not 0): use order 2"))]
 
+    @pytest.mark.parametrize("mass", ["defect", "no-row"])
+    def test_drift_warning_follows_a_mass_warning(self, mass):
+        # the drift test runs with the matrix check, after the build; both
+        # warnings keep their text and name the caller
+        if mass == "defect":  # a' = 100 at order 1 misses 1.9e-4 of a row's mass
+            spec = KernelSpec(_sloped_model(100.0, b=0.1), order=1)
+            config = BootstrapConfig(spec, 0.02, 2, SpatialGrid(1.0, 9.0, 0.05))
+            first = MASS_DEFECT.format("1.927e-04")
+        else:  # BSM sigma 0.5: every kernel of tau 0.25 reaches 4 widths past x = 0
+            spec = KernelSpec(BSMModel(sigma=0.5, r=0.1), order=1)
+            config = BootstrapConfig(spec, 0.5, 2, SpatialGrid.regular(40.0, 0.1))
+            first = ("no grid row resolves the sub-step kernel (dx too large or grid too short "
+                     "for this tau)")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bootstrap_solve(config, CallPayoff(5.0))
+        assert [(w.category, str(w.message), w.filename) for w in caught] == [
+            (GridTooCoarseWarning, first, __file__),
+            (UserWarning, "an order-1 composition does not converge in the step count when the "
+             "model has drift (b or c not 0): use order 2", __file__)]
+
     def test_driftless_low_order_composition_does_not_warn(self):
         # at r = 0 order 1 converges: 5.0e-3 at 10 steps, 1.3e-3 at 40
         spec = KernelSpec(BSMModel(sigma=0.3), order=1)
@@ -402,6 +436,19 @@ class TestMassDiagnostic:
             warnings.simplefilter("always", GridTooCoarseWarning)
             bootstrap_solve(config, CallPayoff(5.0))
         assert [str(w.message)[:19] for w in caught] == ["kernel mass defect "] * warns
+
+    @pytest.mark.parametrize("dx, defect", [(0.05, "4.993e-04"), (0.02, "1.054e-03"),
+                                            (0.01, "1.053e-03")])
+    def test_a_defect_no_spacing_removes_names_both_causes(self, dx, defect):
+        # a' = 10, tau = 0.01, order 2: the defect does not fall with dx, as
+        # series terms reach past the gate; the warning no longer blames dx alone
+        config = BootstrapConfig(KernelSpec(_sloped_model(10.0), order=2), 0.02, 2,
+                                 SpatialGrid(1.0, 9.0, dx))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bootstrap_solve(config, CallPayoff(5.0))
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (GridTooCoarseWarning, MASS_DEFECT.format(defect))]
 
     def test_resolved_grid_does_not_warn(self):
         spec = KernelSpec(MODEL, order=2)

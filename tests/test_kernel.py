@@ -5,6 +5,7 @@ Gaussian-times-polynomial form against the Hermite-series formula."""
 
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -202,6 +203,25 @@ class TestKernelEval:
         with pytest.raises(DomainError):
             KernelSpec(BSMModel(sigma=0.3), order=3)
 
+    @pytest.mark.parametrize("order, shown", [(True, "True"), (2.0, "2.0"), ("2", "'2'"),
+                                              (np.float64(1.0), "np.float64(1.0)")])
+    def test_order_must_be_an_integer(self, order, shown):
+        # a bool or a float used to pass the range test (True == 1, 2.0 == 2)
+        message = f"kernel order must be 0, 1 or 2, got {shown}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            KernelSpec(BSMModel(sigma=0.3, r=0.1), order)
+
+    def test_numpy_integer_order_is_its_int(self):
+        model, x, y = BSMModel(sigma=0.3, r=0.1), 15.0, np.linspace(12.0, 18.0, 25)
+        got = kernel_eval(KernelSpec(model, np.int64(2)), 0.1, x, y)
+        assert np.array_equal(got, kernel_eval(KernelSpec(model, 2), 0.1, x, y))
+
+    @pytest.mark.parametrize("rule", ["atx", "aty", "mid", None, 0])
+    def test_basepoint_must_be_a_rule(self, rule):
+        # "atx" used to construct, then fail later with a bare KeyError
+        with pytest.raises(DomainError, match=f"^basepoint must be a BasepointRule, got {rule!r}$"):
+            KernelSpec(BSMModel(sigma=0.3, r=0.1), 2, rule)
+
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_underflow_region_is_exactly_zero(self, order):
         # q = (x-y)^2 / (2 t a^2) ~ 988 here, past the exp underflow too
@@ -379,7 +399,8 @@ class TestOneKernelForm:
     def test_midpoint_block_frees_order_two_temporaries_before_the_fold(self):
         # a^2, a^3, P_2, P_4, P_6 and (-1/a)^k are block-sized at the
         # midpoint; alive through the kappa fold, they held the peak at 28
-        # blocks of 64 rows, 25 without them
+        # blocks of 64 rows, 25 without them, and 24 once the block-sized
+        # basepoint z no longer outlives the jet
         xs = SpatialGrid(1.0, 40.0, 0.01).nodes
         x = np.linspace(18.0, 22.0, 64)[:, None]
         spec = KernelSpec(CEVModel(sigma=0.3, alpha=2.0 / 3.0, r=0.1), 2, BasepointRule.MIDPOINT)
@@ -389,7 +410,7 @@ class TestOneKernelForm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 25.5 * (64 * xs.size * 8)
+        assert peak <= 24.5 * (64 * xs.size * 8)
 
 
 @functools.lru_cache(maxsize=None)

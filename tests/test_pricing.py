@@ -1,6 +1,8 @@
 """Closed-form prices, quadrature pricing, parity and Greeks."""
 
 import math
+import re
+import sys
 import tracemalloc
 import warnings
 
@@ -32,6 +34,7 @@ from lvkernel import (
     price_put,
     price_quadrature,
 )
+from lvkernel.pricing import _calls, _price_closed_dispatch
 
 
 class TestPayoffs:
@@ -130,6 +133,37 @@ class TestClosedFormCall:
             price_call_closed(1, model, 0.0, 15.0, 15.0)
         with pytest.raises(DomainError):
             price_call_closed(1, model, 0.1, -15.0, 15.0)
+
+    @pytest.mark.parametrize("order, shown", [(True, "True"), (2.0, "2.0"), ("2", "'2'")])
+    def test_order_must_be_an_integer(self, order, shown):
+        # True == 1 and 2.0 == 2 used to price orders 1 and 2
+        model, fly = BSMModel(sigma=0.3, r=0.1), ButterflyPayoff(14.0, 15.0, 16.0)
+        for price in (lambda: price_call_closed(order, model, 0.1, 15.0, 16.0),
+                      lambda: price_put(order, model, 0.1, 15.0, 16.0),
+                      lambda: price_butterfly_closed(order, model, 0.1, fly, 16.0)):
+            with pytest.raises(DomainError, match=f"^price order must be 1 or 2, got {shown}$"):
+                price()
+
+    def test_numpy_integer_order_is_its_int(self):
+        model = BSMModel(sigma=0.3, r=0.1)
+        for x in (16.0, np.array([14.0, 15.0, 16.0])):
+            got = price_call_closed(np.int64(2), model, 0.1, 15.0, x)
+            assert np.array_equal(got, price_call_closed(2, model, 0.1, 15.0, x))
+
+    def test_each_fault_keeps_its_message_and_the_strike_comes_first(self):
+        # a call or put invalid in two ways names its strike first, as the
+        # CLI, which builds the payoff before it prices, always has
+        model = BSMModel(sigma=0.3)
+        for price in (price_call_closed, price_put):
+            for order, t, K, message in ((3, 0.1, 15.0, "price order must be 1 or 2, got 3"),
+                                         (1, 0.0, 15.0, "time must be positive and finite, got 0.0"),
+                                         (1, 0.1, -15.0, "strike must be positive"),
+                                         (3, 0.0, -15.0, "strike must be positive")):
+                with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                    price(order, model, t, K, 15.0)
+        # a butterfly's strikes are checked when it is built, and order before time
+        with pytest.raises(DomainError, match="^price order must be 1 or 2, got 3$"):
+            price_butterfly_closed(3, model, 0.0, ButterflyPayoff(14.0, 15.0, 16.0), 15.0)
 
     def test_scalar_in_float_out(self):
         v = price_call_closed(2, BSMModel(sigma=0.3, r=0.1), 0.1, 15.0, 16.0)
@@ -278,6 +312,27 @@ class TestClosedFormIdentities:
                       price_butterfly_closed(order, model, 0.2, payoff, 16.25)):
             assert type(value) is float
 
+    @pytest.mark.parametrize("model", CLOSED_FORM_MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("payoff", [CallPayoff(17.5), PutPayoff(17.5),
+                                        ButterflyPayoff(15.0, 18.0, 25.0)],
+                             ids=["call", "put", "butterfly"])
+    def test_every_path_gives_the_same_bits_and_type(self, model, order, payoff):
+        t, spec, grid = 0.2, KernelSpec(model, order), SpatialGrid(8.0, 30.0, 0.25)
+
+        def public(x):
+            if isinstance(payoff, ButterflyPayoff):
+                return price_butterfly_closed(order, model, t, payoff, x)
+            price = price_call_closed if isinstance(payoff, CallPayoff) else price_put
+            return price(order, model, t, payoff.strike, x)
+
+        for x, kind in ((16.25, float), (grid.nodes, np.ndarray)):
+            want, got = public(x), _price_closed_dispatch(spec, t, payoff, x)
+            assert type(want) is kind and type(got) is kind
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        values = price_curve(spec, t, payoff, grid, method="closed").values
+        assert values.tobytes() == public(grid.nodes).tobytes()
+
     def test_gaussian_factor_is_zero_past_underflow(self):
         # x far from K at a tiny t: exp(-m^2/(2 a^2 t)) underflows, and the
         # price is exactly its intrinsic part
@@ -303,6 +358,46 @@ class TestClosedFormIdentities:
             forward = m + jet.b * t + (jet.c * t * m if order == 2 else 0.0)
             assert (np.atleast_1d(call)[0], np.atleast_1d(fly)[0]) == (0.0, 0.0)
             assert np.atleast_1d(put)[0] == -forward
+
+
+class TestClosedFormJetLifetime:
+    """A closed form's jet dies with _calls, before its calls combine; only a
+    put keeps it, for the forward.  Which temporaries outlive a 10k-spot
+    quote decides whether glibc trims and re-faults the heap after it."""
+
+    @staticmethod
+    def _memory_after_calls(price) -> int:
+        """The most traced memory at any line of pricing run after _calls returns."""
+        seen, returned = [0], []
+
+        def trace(frame, event, arg):
+            code = frame.f_code
+            if event == "return" and code is _calls.__code__:
+                returned.append(True)
+            elif event == "line" and returned and code.co_filename == _calls.__code__.co_filename:
+                seen.append(tracemalloc.get_traced_memory()[0])
+            return trace
+
+        previous = sys.gettrace()
+        tracemalloc.start()
+        sys.settrace(trace)
+        try:
+            price()
+        finally:
+            sys.settrace(previous)
+            tracemalloc.stop()
+        return max(seen)
+
+    @pytest.mark.parametrize("kind, arrays", [("call", 1.5), ("butterfly", 4.5)])
+    def test_jet_dies_with_calls(self, kind, arrays):
+        # past _calls a call holds its value (1.1 spot arrays) and a butterfly
+        # its three calls and their sum (4.0); a CEV jet alive there adds 7
+        model, x = CEVModel(sigma=0.3, alpha=2.0 / 3.0, r=0.1), np.linspace(5.0, 30.0, 10_000)
+        fly = ButterflyPayoff(14.0, 15.0, 16.0)
+        price = {"call": lambda: price_call_closed(2, model, 0.25, 15.0, x),
+                 "butterfly": lambda: price_butterfly_closed(2, model, 0.25, fly, x)}[kind]
+        price()  # 10k spots load scipy.special here, outside the trace
+        assert self._memory_after_calls(price) <= arrays * x.size * 8
 
 
 class TestClosedFormIsKernelMoment:
