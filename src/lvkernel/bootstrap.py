@@ -129,7 +129,7 @@ def bootstrap_solve(config: BootstrapConfig, payoff: Payoff) -> PriceCurve:
     a model whose b or c is not 0 on the grid warns, after the matrix check.
     """
     spec, grid = config.spec, config.grid
-    closed = _why_no_closed_form(spec, payoff) is None
+    closed = _why_no_closed_form(spec.order, payoff, spec.basepoint) is None
     hops = config.n_steps - 1 if closed else config.n_steps
     if hops:
         mat, mass = kernel_matrix(spec, config.tau, grid)

@@ -23,7 +23,7 @@ from .pricing import (
     CallPayoff,
     Payoff,
     PutPayoff,
-    _price_closed_dispatch,
+    _closed,
     curve_greeks,
     greeks,
     price_curve,
@@ -191,7 +191,7 @@ def _run_price(model: Model, params: dict) -> str:
     spec, payoff, spot, curve = _quote_prelude(model, params, "price")
     if curve is not None:
         return _csv("x,price", zip(curve.x, curve.values))
-    return _fmt(_price_closed_dispatch(spec, params["t"], payoff, spot)) + "\n"
+    return _fmt(_closed(spec.order, spec.model, params["t"], payoff, spot, spec.basepoint)) + "\n"
 
 
 def _run_kernel(model: Model, params: dict) -> str:
@@ -210,8 +210,9 @@ def _run_greeks(model: Model, params: dict) -> str:
     dx = params.get("dx")
     if dx is None:
         raise UsageError("greeks at a single --spot needs --dx")
-    delta, gamma = greeks(lambda tt, xx: _price_closed_dispatch(spec, tt, payoff, xx),
-                          params["t"], spot, dx)
+    delta, gamma = greeks(
+        lambda tt, xx: _closed(spec.order, spec.model, tt, payoff, xx, spec.basepoint),
+        params["t"], spot, dx)
     return _csv("x,delta,gamma", [(spot, delta, gamma)])
 
 

@@ -74,7 +74,7 @@ def simpson_weights(n_nodes: int, dx: float) -> np.ndarray:
     """
     if n_nodes < 3:
         raise DomainError("Simpson weights need at least 3 nodes")
-    if dx <= 0.0:
+    if not 0.0 < dx < np.inf:
         raise DomainError("dx must be positive")
     n_int = n_nodes - 1
     w = np.zeros(n_nodes)

@@ -146,6 +146,9 @@ class _PowerLaw(Model):
         return p["sigma"], p.get("sigma_dot0", 0.0), p.get("alpha", 1.0), p["r"]
 
     def __post_init__(self) -> None:
+        for name in (f.name for f in fields(self)):
+            if isinstance(value := getattr(self, name), (str, bool, np.bool_)):
+                raise DomainError(f"{name} must be a number, got {value!r}")
         sigma, sigma_dot0, alpha, r = self._params
         sigma = float(sigma)
         if not np.isfinite(sigma) or sigma <= 0.0:

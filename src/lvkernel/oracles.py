@@ -15,7 +15,7 @@ from .errors import DomainError, SingularMatrix
 from .grid import PriceCurve, SpatialGrid
 from .kernel import KernelSpec
 from .models import BSMModel, CEVModel, CoefficientJet, Model, TimeDependentBSMModel
-from .pricing import CallPayoff, Payoff, _norm_cdf, _price_closed_dispatch
+from .pricing import CallPayoff, Payoff, _closed, _norm_cdf
 
 __all__ = [
     "bs_exact",
@@ -46,7 +46,7 @@ def _bs_d1_d2(t: float, K: float, x: ArrayLike, sigma: ArrayLike, r: float):
     if not (_finite_positive(t, K) and sigma_ok and math.isfinite(r)):
         raise DomainError("bs_exact needs finite t > 0, K > 0, sigma > 0 and r")
     xa = np.asarray(x, dtype=float)
-    if np.any(xa <= 0.0):
+    if not np.all(xa > 0.0):
         raise DomainError("bs_exact needs x > 0")
     st = sigma * np.sqrt(t)
     d1 = (np.log(xa / K) + (r + 0.5 * sigma * sigma) * t) / st
@@ -81,7 +81,7 @@ def bs_kernel(t: float, x: float, y: ArrayLike, sigma: float, r: float = 0.0) ->
     if not (_finite_positive(t, sigma, x) and math.isfinite(r)):
         raise DomainError("bs_kernel needs finite t, sigma, x > 0 and r")
     ya = np.asarray(y, dtype=float)
-    if np.any(ya <= 0.0):
+    if not np.all(ya > 0.0):
         raise DomainError("bs_kernel needs y > 0")
     s2t = sigma * sigma * t
     arg = (np.log(x / ya) + (r - 0.5 * sigma * sigma) * t) ** 2 / (2.0 * s2t)
@@ -102,7 +102,7 @@ def hagan_woodward_vol(t: float, K: float, s0: ArrayLike, sigma: float, beta: fl
     if not (_finite_positive(t, K, sigma) and math.isfinite(r)):
         raise DomainError("hagan_woodward_vol needs finite t, K, sigma > 0 and r")
     s0a = np.asarray(s0, dtype=float)
-    if np.any(s0a <= 0.0):
+    if not np.all(s0a > 0.0):
         raise DomainError("hagan_woodward_vol needs s0 > 0")
     u = 2.0 * r * (1.0 - beta) * t
     growth = np.expm1(u) / u if u != 0.0 else 1.0
@@ -290,7 +290,8 @@ def _scored(spec: KernelSpec, payoff: Payoff, grid: SpatialGrid, times: Sequence
     closed form when n_steps is None, then oracle_at(t) from _reference."""
     out = []
     for t in times:
-        approx = (_price_closed_dispatch(spec, t, payoff, grid.nodes) if n_steps is None
+        approx = (_closed(spec.order, spec.model, t, payoff, grid.nodes, spec.basepoint)
+                  if n_steps is None
                   else bootstrap_solve(BootstrapConfig(spec, t, n_steps, grid), payoff).values)
         out.append((t, approx, oracle_at(t)))
     return out

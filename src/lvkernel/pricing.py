@@ -182,8 +182,12 @@ class SampledPayoff(PriceCurve, Payoff):
     __call__ = PriceCurve.value_at
 
 
-def _order_fault(order: int) -> Optional[str]:
-    """Why no closed form of this expansion order exists, or None (ints 1 and 2, no bool)."""
+def _why_no_closed_form(order: int, payoff: Payoff, rule: BasepointRule) -> Optional[str]:
+    """Why (order, payoff, rule) has no closed-form price, or None when it has one."""
+    if rule is not BasepointRule.AT_X:
+        return "closed-form prices exist only for the z=x basepoint"
+    if not isinstance(payoff, (CallPayoff, PutPayoff, ButterflyPayoff)):
+        return "closed-form pricing supports call, put and butterfly payoffs"
     ok = _is_int(order) and order in (1, 2)
     return None if ok else f"price order must be 1 or 2, got {order!r}"
 
@@ -227,13 +231,14 @@ def _calls(order: int, jet: CoefficientJet, t: float, strikes, x: ArrayLike) -> 
     return calls
 
 
-def _closed(order: int, model: Model, t: float, payoff: Payoff, x: ArrayLike) -> ArrayLike:
-    """The one body of every closed form: the payoff's calls from one jet at
-    z = x, less the forward for a put, three weighted calls for a butterfly;
-    a Python float for a scalar spot.  The jet dies with _calls, before the
-    butterfly's calls combine; only the put keeps it, for the forward."""
-    if (fault := _order_fault(order)) is not None:
-        raise DomainError(fault)
+def _closed(order: int, model: Model, t: float, payoff: Payoff, x: ArrayLike,
+            rule: BasepointRule = BasepointRule.AT_X) -> ArrayLike:
+    """The one body of every closed form, past _why_no_closed_form: the payoff's
+    calls from one jet at z = x, less the forward for a put, three weighted calls
+    for a butterfly; a Python float for a scalar spot.  The jet dies with _calls,
+    before the butterfly's calls combine; only the put keeps it, for the forward."""
+    if (reason := _why_no_closed_form(order, payoff, rule)) is not None:
+        raise DomainError(reason)
     if not math.isfinite(t) or t <= 0.0:
         raise DomainError(f"time must be positive and finite, got {t}")
     xs = np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
@@ -304,14 +309,13 @@ def _quadrature(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike,
     wh = grid.weights * hy
     wh2 = (simpson_weights(grid.n_nodes // 2 + 1, 2.0 * grid.dx) * hy[::2]
            if grid.n_intervals % 2 == 0 and grid.n_intervals >= 4 else None)
-    scalar = not isinstance(x, np.ndarray)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    xa = np.atleast_1d(np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x))
     vals, coarse = np.empty(xa.size), np.empty(xa.size)
     for rows, k in _kernel_rows(spec, t, xa, y):
         vals[rows] = k @ wh
         if wh2 is not None:
             coarse[rows] = k[:, ::2] @ wh2
-    if wh2 is not None:
+    if wh2 is not None and xa.size:
         defect = np.max(np.abs(vals - coarse) - 1e-6 * (1.0 + np.abs(vals)))
         if defect > 0.0:
             warnings.warn(
@@ -325,7 +329,7 @@ def _quadrature(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike,
         warnings.warn(f"a kernel reaches past the grid [{grid.x_min:g}, {grid.x_max:g}], where "
                       "the payoff is not 0: quadrature drops the payoff beyond",
                       GridTooCoarseWarning, stacklevel=3)
-    return float(vals[0]) if scalar else vals
+    return vals if isinstance(x, np.ndarray) else float(vals[0])
 
 
 def _past_ends(grid: SpatialGrid, x: np.ndarray, width: np.ndarray):
@@ -339,27 +343,12 @@ def price_curve(spec: KernelSpec, t: float, payoff: Payoff, grid: SpatialGrid,
     """Price at every grid node, as a curve."""
     xs = grid.nodes
     if method == "closed":
-        vals = _price_closed_dispatch(spec, t, payoff, xs)
+        vals = _closed(spec.order, spec.model, t, payoff, xs, spec.basepoint)
     elif method == "quadrature":
         vals = _quadrature(spec, t, payoff, xs, grid)
     else:
         raise DomainError(f"unknown pricing method {method!r}")
     return PriceCurve(xs, np.asarray(vals, dtype=float))
-
-
-def _why_no_closed_form(spec: KernelSpec, payoff: Payoff) -> Optional[str]:
-    """Why (spec, payoff) has no closed-form price, or None when it has one."""
-    if spec.basepoint is not BasepointRule.AT_X:
-        return "closed-form prices exist only for the z=x basepoint"
-    if not isinstance(payoff, (CallPayoff, PutPayoff, ButterflyPayoff)):
-        return "closed-form pricing supports call, put and butterfly payoffs"
-    return _order_fault(spec.order)
-
-
-def _price_closed_dispatch(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike) -> ArrayLike:
-    if (reason := _why_no_closed_form(spec, payoff)) is not None:
-        raise DomainError(reason)
-    return _closed(spec.order, spec.model, t, payoff, x)
 
 
 def greeks(price_fn: Callable[[float, ArrayLike], ArrayLike], t: float, x: ArrayLike,

@@ -457,6 +457,12 @@ class TestCompareCommand:
         _, err = capsys.readouterr()
         assert rc == 2 and "--times" in err
 
+    def test_non_numeric_times_rejected(self, capsys):
+        rc = main(["compare", "--model", BSM_JSON, "--oracle", "bs-exact",
+                   "--method", "order1", "--grid", "12:18:1", "--times", "0.1,abc",
+                   "--strike", "15"])
+        assert (rc, *capsys.readouterr()) == (2, "", "bad --times list '0.1,abc'\n")
+
 
 CEV_JSON = '{"kind": "cev", "sigma": 0.3, "alpha": 0.5}'
 BOOTSTRAP_ARGS = ["--order", "2", "--t", "0.2", "--steps", "2", "--xmax", "40",
@@ -509,7 +515,7 @@ class TestOracleFitsBeforeSolve:
             raise AssertionError("solved before the oracle was checked")
 
         monkeypatch.setattr("lvkernel.oracles.bootstrap_solve", no_solve)
-        monkeypatch.setattr("lvkernel.oracles._price_closed_dispatch", no_solve)
+        monkeypatch.setattr("lvkernel.oracles._closed", no_solve)
         argv, message = self.CASES[case]
         rc = main(argv)
         out, err = capsys.readouterr()

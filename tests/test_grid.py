@@ -45,6 +45,12 @@ class TestSimpsonWeights:
         with pytest.raises(DomainError):
             simpson_weights(5, 0.0)
 
+    @pytest.mark.parametrize("dx", [float("nan"), float("inf")])
+    def test_nonfinite_spacing_rejected(self, dx):
+        # both pass a "dx <= 0" check, to NaN or infinite weights
+        with pytest.raises(DomainError, match="^dx must be positive$"):
+            simpson_weights(5, dx)
+
 
 class TestSpatialGrid:
     def test_nodes_and_counts(self):

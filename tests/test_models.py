@@ -19,6 +19,7 @@ from lvkernel import (
     model_from_dict,
     model_from_file,
     model_from_json,
+    price_call_closed,
 )
 from lvkernel.models import _check_z
 
@@ -199,6 +200,23 @@ class TestValidation:
                              b=0.0, db_dx=0.0, c=0.0)
         with pytest.raises(DegenerateCoefficient):
             jet.validate()
+
+    @pytest.mark.parametrize("build, shown", [
+        (lambda: BSMModel("0.3"), "sigma must be a number, got '0.3'"),
+        (lambda: TimeDependentBSMModel(0.3, "0.2"), "sigma_dot0 must be a number, got '0.2'"),
+        (lambda: BSMModel(True), "sigma must be a number, got True"),
+        (lambda: BSMModel(0.3, True), "r must be a number, got True"),
+        (lambda: CEVModel(0.3, np.True_), "alpha must be a number, got np.True_"),
+    ], ids=["str-sigma", "str-sigma_dot0", "bool-sigma", "bool-r", "numpy-bool-alpha"])
+    def test_non_numeric_parameter_rejected(self, build, shown):
+        # float() and isfinite() take neither as a fault: True is 1
+        with pytest.raises(DomainError, match=f"^{shown}$"):
+            build()
+
+    def test_ints_and_numpy_reals_pass(self):
+        want = price_call_closed(2, BSMModel(0.3, 1.0), 0.1, 15.0, 15.0)
+        for model in (BSMModel(np.float64(0.3), 1), BSMModel(0.3, np.int64(1))):
+            assert price_call_closed(2, model, 0.1, 15.0, 15.0) == want
 
     def test_models_are_frozen(self):
         model = BSMModel(sigma=0.3)

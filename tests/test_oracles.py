@@ -281,6 +281,12 @@ class TestNonFiniteInputs:
         "bs_kernel-inf-x": lambda: bs_kernel(0.1, INF, 14.0, 0.3, 0.1),
         "hagan_woodward-nan-t": lambda: hagan_woodward_price(NAN, 15.0, 16.0, 0.3, 0.5),
         "hagan_woodward-inf-r": lambda: hagan_woodward_price(0.1, 15.0, 16.0, 0.3, 0.5, INF),
+        # a NaN spot or node passes a "<= 0" positivity check
+        "bs_exact-nan-x": lambda: bs_exact(0.1, 15.0, NAN, 0.3),
+        "bs_delta-nan-x-array": lambda: bs_delta(0.1, 15.0, np.array([16.0, NAN]), 0.3),
+        "bs_gamma-nan-x": lambda: bs_gamma(0.1, 15.0, NAN, 0.3),
+        "bs_kernel-nan-y": lambda: bs_kernel(0.1, 15.0, NAN, 0.3),
+        "hagan_woodward_vol-nan-s0": lambda: hagan_woodward_vol(0.1, 15.0, NAN, 0.3, 0.667),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -34,7 +34,7 @@ from lvkernel import (
     price_put,
     price_quadrature,
 )
-from lvkernel.pricing import _calls, _price_closed_dispatch
+from lvkernel.pricing import _calls, _closed
 
 
 class TestPayoffs:
@@ -265,6 +265,14 @@ class TestButterflyPricing:
         closed = price_butterfly_closed(2, model, t, payoff, x)
         assert closed == pytest.approx(quad, abs=1e-5)
 
+    def test_a_payoff_without_a_closed_form_is_named(self):
+        # the gate, not the payoff branch, rejects it: that branch prices
+        # any payoff but a put or a butterfly as a call
+        payoff = SampledPayoff(np.array([10.0, 20.0]), np.array([0.0, 1.0]))
+        with pytest.raises(DomainError,
+                           match="^closed-form pricing supports call, put and butterfly payoffs$"):
+            price_butterfly_closed(2, BSMModel(sigma=0.3, r=0.1), 0.1, payoff, 15.0)
+
 
 CLOSED_FORM_MODELS = [
     BSMModel(sigma=0.3, r=0.1),
@@ -312,6 +320,22 @@ class TestClosedFormIdentities:
                       price_butterfly_closed(order, model, 0.2, payoff, 16.25)):
             assert type(value) is float
 
+    @pytest.mark.parametrize("rule, payoff, order, message", [
+        (BasepointRule.AT_Y, "sampled", 0, "closed-form prices exist only for the z=x basepoint"),
+        (BasepointRule.AT_X, "sampled", 0,
+         "closed-form pricing supports call, put and butterfly payoffs"),
+        (BasepointRule.AT_X, "call", 0, "price order must be 1 or 2, got 0"),
+    ], ids=["rule", "payoff", "order"])
+    def test_one_gate_names_the_first_fault_before_the_maturity(self, rule, payoff, order,
+                                                                  message):
+        payoff = {"sampled": SampledPayoff(np.array([10.0, 20.0]), np.array([0.0, 1.0])),
+                  "call": CallPayoff(15.0)}[payoff]
+        spec, grid = KernelSpec(BSMModel(sigma=0.3), order, rule), SpatialGrid(10.0, 20.0, 1.0)
+        for price in (lambda: price_curve(spec, 0.0, payoff, grid, method="closed"),
+                      lambda: _closed(order, spec.model, 0.0, payoff, 15.0, rule)):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                price()
+
     @pytest.mark.parametrize("model", CLOSED_FORM_MODELS, ids=lambda m: m.kind)
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("payoff", [CallPayoff(17.5), PutPayoff(17.5),
@@ -327,7 +351,7 @@ class TestClosedFormIdentities:
             return price(order, model, t, payoff.strike, x)
 
         for x, kind in ((16.25, float), (grid.nodes, np.ndarray)):
-            want, got = public(x), _price_closed_dispatch(spec, t, payoff, x)
+            want, got = public(x), _closed(spec.order, spec.model, t, payoff, x, spec.basepoint)
             assert type(want) is kind and type(got) is kind
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
         values = price_curve(spec, t, payoff, grid, method="closed").values
@@ -423,6 +447,23 @@ class TestClosedFormIsKernelMoment:
 
 
 class TestQuadrature:
+    def test_spot_kinds_follow_the_closed_forms(self):
+        # an ndarray in, an ndarray out, empty or not; all else through float()
+        model = BSMModel(sigma=0.3, r=0.1)
+        spec, grid = KernelSpec(model, order=2), SpatialGrid(1.0, 40.0, 0.05)
+        quadrature = lambda t, x: price_quadrature(spec, t, CallPayoff(15.0), x, grid)
+        for price in (quadrature, lambda t, x: price_call_closed(2, model, t, 15.0, x)):
+            with pytest.raises(TypeError):
+                price(0.1, [15.0, 16.0])
+            assert type(price(0.1, 15.0)) is float
+            empty = price(0.1, np.array([]))
+            assert type(empty) is np.ndarray and empty.shape == (0,)
+        with pytest.raises(TypeError):
+            greeks(quadrature, 0.1, [15.0, 16.0], 0.01)
+        _, gamma = greeks(quadrature, 0.1, np.array([15.0, 16.0]), 0.01)
+        each = [greeks(quadrature, 0.1, x, 0.01)[1] for x in (15.0, 16.0)]
+        np.testing.assert_allclose(gamma, each, rtol=1e-9)
+
     def test_order_zero_mass_through_flat_payoff(self):
         model = BSMModel(sigma=0.3, r=0.1)
         spec = KernelSpec(model, order=0)
