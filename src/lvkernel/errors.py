@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the test of
+what counts as a number for the DomainErrors that reject a non-number."""
+
+import numpy as np
 
 __all__ = [
     "LVKernelError",
@@ -27,3 +30,8 @@ class SingularMatrix(LVKernelError, RuntimeError):
 
 class GridTooCoarseWarning(UserWarning):
     """A quadrature grid is too coarse to resolve the kernel at the requested step."""
+
+
+def _is_real(value) -> bool:
+    """Whether value is a Python or NumPy real number; a bool is not one."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)

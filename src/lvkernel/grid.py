@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _is_real
 
 __all__ = ["SpatialGrid", "PriceCurve", "simpson_weights"]
 
@@ -26,6 +26,9 @@ class SpatialGrid:
     dx: float
 
     def __post_init__(self) -> None:
+        for name in ("x_min", "x_max", "dx"):
+            if not _is_real(value := getattr(self, name)):
+                raise DomainError(f"{name} must be a number, got {value!r}")
         if not (np.isfinite(self.x_min) and np.isfinite(self.x_max) and np.isfinite(self.dx)):
             raise DomainError("grid bounds and spacing must be finite")
         if self.x_min <= 0.0:

@@ -12,9 +12,10 @@ exactly +0.0 wherever q = d^2/(2 t a^2) > Q_MAX = 50, ten widths out, where
 exp(-q) < 2e-22 is below double precision of the peak.  A kernel matrix at
 z = x (z = y) computes the powers once per row (column), evaluates only each
 row's (column's) live band, q <= Q_MAX widened by one node on each side, and
-leaves the +0.0 outside it unevaluated; the midpoint's is evaluated dense.
-The closed-form prices in pricing are the series' Gaussian moments.  All
-operations are pure functions and vectorize over numpy arrays.
+leaves the +0.0 outside it unevaluated; the midpoint's is evaluated dense,
+_MID_ENTRIES entries at a time.  The closed-form prices in pricing are the
+series' Gaussian moments.  All operations are pure functions and vectorize
+over numpy arrays.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ ArrayLike = Union[float, np.ndarray]
 Q_MAX = 50.0
 # rows (columns of a z = y matrix) evaluated at once: bounds the block-sized temporaries
 _CHUNK_ROWS = 64
+# entries of a midpoint block, whose jet and coefficients are per entry: its
+# 24 block-sized temporaries re-fault the heap at 64 rows of 3,901 nodes
+_MID_ENTRIES = 2**15
 
 # the probabilists' Hermite polynomials He_k(u) = sum_j _HERMITE[k][j] * u**(k - 2j)
 _HERMITE = tuple(tuple((-1) ** j * factorial(k) // (factorial(j) * factorial(k - 2 * j) * 2**j)
@@ -175,9 +179,12 @@ def kernel_eval(spec: KernelSpec, t: float, x: ArrayLike, y: ArrayLike) -> Array
 
 def _kernel_rows(spec: KernelSpec, t: float, x: np.ndarray, y: np.ndarray):
     """The block kernel_eval(spec, t, x[:, None], y[None, :]) for 1-D x and y,
-    as (row slice, rows) pairs of _CHUNK_ROWS rows each."""
-    for start in range(0, x.size, _CHUNK_ROWS):
-        rows = slice(start, min(start + _CHUNK_ROWS, x.size))
+    as (row slice, rows) pairs of _CHUNK_ROWS rows each, or at the midpoint of
+    as many rows as _MID_ENTRIES entries hold (at least one)."""
+    step = (max(_MID_ENTRIES // y.size, 1) if spec.basepoint is BasepointRule.MIDPOINT
+            else _CHUNK_ROWS)
+    for start in range(0, x.size, step):
+        rows = slice(start, min(start + step, x.size))
         yield rows, kernel_eval(spec, t, x[rows, None], y[None, :])
 
 

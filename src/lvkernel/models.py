@@ -24,7 +24,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DegenerateCoefficient, DomainError
+from .errors import DegenerateCoefficient, DomainError, _is_real
 
 __all__ = [
     "CoefficientJet",
@@ -103,11 +103,13 @@ def basepoint(rule: BasepointRule, x: ArrayLike, y: ArrayLike) -> ArrayLike:
 
 
 def _check_z(z: ArrayLike) -> ArrayLike:
-    if isinstance(z, (float, int)):
+    if isinstance(z, (float, int)) and not isinstance(z, bool):
         z = float(z)
         if 0.0 < z < math.inf:
             return z
     else:
+        if (z := np.asarray(z)).dtype == bool:  # np.asarray(z, dtype=float) reads True as 1
+            raise DomainError("basepoint z must be a number, not a bool")
         z = np.asarray(z, dtype=float)
         if ((z > 0.0) & (z < np.inf)).all():
             return z if z.ndim else float(z)
@@ -147,7 +149,7 @@ class _PowerLaw(Model):
 
     def __post_init__(self) -> None:
         for name in (f.name for f in fields(self)):
-            if isinstance(value := getattr(self, name), (str, bool, np.bool_)):
+            if not _is_real(value := getattr(self, name)):
                 raise DomainError(f"{name} must be a number, got {value!r}")
         sigma, sigma_dot0, alpha, r = self._params
         sigma = float(sigma)

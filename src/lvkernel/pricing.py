@@ -231,6 +231,16 @@ def _calls(order: int, jet: CoefficientJet, t: float, strikes, x: ArrayLike) -> 
     return calls
 
 
+def _spot(x: ArrayLike) -> ArrayLike:
+    """A spot as every price takes it: an ndarray as floats, anything else
+    through float(); a bool, which float() reads as 0 or 1, is rejected."""
+    if isinstance(x, float):  # a scalar quote's spot, np.float64 too: first and cheapest
+        return float(x)
+    if isinstance(x, (bool, np.bool_)) or isinstance(x, np.ndarray) and x.dtype == bool:
+        raise DomainError("spot x must be a number, not a bool")
+    return np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
+
+
 def _closed(order: int, model: Model, t: float, payoff: Payoff, x: ArrayLike,
             rule: BasepointRule = BasepointRule.AT_X) -> ArrayLike:
     """The one body of every closed form, past _why_no_closed_form: the payoff's
@@ -241,7 +251,7 @@ def _closed(order: int, model: Model, t: float, payoff: Payoff, x: ArrayLike,
         raise DomainError(reason)
     if not math.isfinite(t) or t <= 0.0:
         raise DomainError(f"time must be positive and finite, got {t}")
-    xs = np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
+    xs = _spot(x)
     if isinstance(payoff, ButterflyPayoff):
         w1, w2, w3 = payoff.call_weights
         c1, c2, c3 = _calls(order, model.jet(xs), t, (payoff.k1, payoff.k, payoff.k2), xs)
@@ -309,7 +319,7 @@ def _quadrature(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike,
     wh = grid.weights * hy
     wh2 = (simpson_weights(grid.n_nodes // 2 + 1, 2.0 * grid.dx) * hy[::2]
            if grid.n_intervals % 2 == 0 and grid.n_intervals >= 4 else None)
-    xa = np.atleast_1d(np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x))
+    xa = np.ravel(_spot(x))
     vals, coarse = np.empty(xa.size), np.empty(xa.size)
     for rows, k in _kernel_rows(spec, t, xa, y):
         vals[rows] = k @ wh
@@ -329,7 +339,7 @@ def _quadrature(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike,
         warnings.warn(f"a kernel reaches past the grid [{grid.x_min:g}, {grid.x_max:g}], where "
                       "the payoff is not 0: quadrature drops the payoff beyond",
                       GridTooCoarseWarning, stacklevel=3)
-    return vals if isinstance(x, np.ndarray) else float(vals[0])
+    return vals.reshape(x.shape) if isinstance(x, np.ndarray) else float(vals[0])
 
 
 def _past_ends(grid: SpatialGrid, x: np.ndarray, width: np.ndarray):

@@ -115,6 +115,18 @@ class TestKernelMatrix:
         np.testing.assert_array_equal(full, chunked)
         np.testing.assert_array_equal(curve, price_curve(spec, 0.05, CallPayoff(STRIKE), grid).values)
 
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("model", [MODEL, CEVModel(sigma=0.3, alpha=2.0 / 3.0, r=0.1)],
+                             ids=["bsm", "cev"])
+    def test_midpoint_budget_does_not_change_the_matrix(self, monkeypatch, model, rows):
+        # the midpoint is built _MID_ENTRIES entries at a time: 40 rows here
+        spec = KernelSpec(model, order=2, basepoint=BasepointRule.MIDPOINT)
+        grid = SpatialGrid.regular(40.0, 0.05)
+        full, mass = kernel_matrix(spec, 0.1, grid)
+        monkeypatch.setattr("lvkernel.kernel._MID_ENTRIES", rows * grid.n_nodes)
+        chunked, chunked_mass = kernel_matrix(spec, 0.1, grid)
+        assert chunked.tobytes() == full.tobytes() and chunked_mass.tobytes() == mass.tobytes()
+
     @pytest.mark.parametrize("rule", list(BasepointRule))
     def test_matrix_is_c_contiguous(self, rule):
         # a Fortran-ordered matrix changes the bits of mat @ u

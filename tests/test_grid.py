@@ -85,6 +85,18 @@ class TestSpatialGrid:
         with pytest.raises(DomainError):
             SpatialGrid(**kwargs)
 
+    @pytest.mark.parametrize("value, shown", [
+        (True, "True"), (np.True_, r"np\.True_"), (np.array([True]), r"array\(\[ True\]\)"),
+        (None, "None"), ("1", "'1'"),
+    ], ids=["bool", "numpy-bool", "bool-array", "none", "str"])
+    @pytest.mark.parametrize("name", ["x_min", "x_max", "dx"])
+    def test_non_numbers_rejected(self, name, value, shown):
+        # True passed every check as 1; None and a str raised NumPy's TypeError
+        kwargs = dict(x_min=1.0, x_max=3.0, dx=1.0)
+        kwargs[name] = value
+        with pytest.raises(DomainError, match=f"^{name} must be a number, got {shown}$"):
+            SpatialGrid(**kwargs)
+
     def test_near_integer_ratio_accepted(self):
         g = SpatialGrid(x_min=0.1, x_max=10.0, dx=0.1)
         assert g.n_intervals == 99

@@ -36,7 +36,8 @@ from lvkernel import (
     kernel_eval,
     price_quadrature,
 )
-from lvkernel.kernel import _KAPPA, Q_MAX, _he_to_power, _hermite_coefficients
+from lvkernel import kernel
+from lvkernel.kernel import _KAPPA, Q_MAX, _he_to_power, _hermite_coefficients, _kernel_rows
 
 
 class TestHeToPower:
@@ -443,6 +444,64 @@ def _generator_taylor_terms(x, exponent, sigma_dot="0"):
                                    for k in range(min(i, 2) + 1))))
         terms[j] = [float(g.subs(y, x)) for g in u]
     return terms
+
+
+class TestMidpointBlocks:
+    """The midpoint's jet and coefficients are per entry, about 24 block-sized
+    temporaries, so _kernel_rows sizes its blocks by entries, _MID_ENTRIES, and
+    z = x and z = y keep _CHUNK_ROWS rows."""
+
+    SPEC = KernelSpec(CEVModel(sigma=0.3, alpha=2.0 / 3.0, r=0.1), 2, BasepointRule.MIDPOINT)
+    GRID = SpatialGrid(1.0, 40.0, 0.01)  # 3,901 nodes
+    SPOTS = np.linspace(12.0, 18.0, 21)
+
+    @pytest.mark.parametrize("n, rows", [(10, 21), (2001, 16), (3901, 8), (40_000, 1)])
+    def test_no_block_exceeds_the_budget(self, n, rows):
+        # 2**15 entries: 8 rows of 3,901 nodes, 16 of 2,001; one row at least
+        y = np.linspace(1.0, 40.0, n)
+        blocks = [(r, k.shape) for r, k in _kernel_rows(self.SPEC, 0.1, self.SPOTS, y)]
+        assert blocks[0][1][0] == rows
+        assert np.concatenate([np.arange(21)[r] for r, _ in blocks]).tolist() == list(range(21))
+        for r, shape in blocks:
+            assert shape == (r.stop - r.start, n)
+            assert shape[0] * n <= kernel._MID_ENTRIES or shape[0] == 1
+
+    @pytest.mark.parametrize("rule", [BasepointRule.AT_X, BasepointRule.AT_Y])
+    def test_other_rules_keep_chunk_rows(self, rule):
+        spec = KernelSpec(self.SPEC.model, 2, rule)
+        x = np.linspace(12.0, 18.0, 100)
+        sizes = [k.shape[0] for _, k in _kernel_rows(spec, 0.1, x, self.GRID.nodes)]
+        assert sizes == [kernel._CHUNK_ROWS, 100 - kernel._CHUNK_ROWS]
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_budget_does_not_change_an_entry(self, monkeypatch, rows):
+        # every entry keeps its bytes; a quadrature value can move by a few
+        # ulps, as the BLAS product sums a row in another order by block size
+        def run():
+            block = np.concatenate([k for _, k in _kernel_rows(
+                self.SPEC, 0.1, self.SPOTS, self.GRID.nodes)])
+            return block, price_quadrature(self.SPEC, 0.1, CallPayoff(15.0), self.SPOTS, self.GRID)
+
+        block, values = run()
+        monkeypatch.setattr("lvkernel.kernel._MID_ENTRIES", rows * self.GRID.n_nodes)
+        assert {k.shape[0] for _, k in _kernel_rows(self.SPEC, 0.1, self.SPOTS,
+                                                    self.GRID.nodes)} == {rows}
+        chunked, chunked_values = run()
+        assert chunked.tobytes() == block.tobytes()
+        np.testing.assert_allclose(chunked_values, values, rtol=1e-14, atol=1e-15)
+
+    def test_quadrature_peak_is_set_by_the_budget(self):
+        # 21 spots on 3,901 nodes: the whole block peaked at 24 block-sized
+        # temporaries, 15.8 MB; 8 rows at a time it peaks at 24 of the
+        # budget's, 6.3 MB
+        for t in (0.01, 0.5):
+            tracemalloc.start()
+            try:
+                price_quadrature(self.SPEC, t, CallPayoff(15.0), self.SPOTS, self.GRID)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 28 * kernel._MID_ENTRIES * 8, t
 
 
 class TestMomentCertificate:

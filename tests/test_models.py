@@ -207,7 +207,11 @@ class TestValidation:
         (lambda: BSMModel(True), "sigma must be a number, got True"),
         (lambda: BSMModel(0.3, True), "r must be a number, got True"),
         (lambda: CEVModel(0.3, np.True_), "alpha must be a number, got np.True_"),
-    ], ids=["str-sigma", "str-sigma_dot0", "bool-sigma", "bool-r", "numpy-bool-alpha"])
+        (lambda: BSMModel(None), "sigma must be a number, got None"),
+        (lambda: BSMModel([0.3]), r"sigma must be a number, got \[0\.3\]"),
+        (lambda: TimeDependentBSMModel(0.3, None), "sigma_dot0 must be a number, got None"),
+    ], ids=["str-sigma", "str-sigma_dot0", "bool-sigma", "bool-r", "numpy-bool-alpha",
+            "none-sigma", "list-sigma", "none-sigma_dot0"])
     def test_non_numeric_parameter_rejected(self, build, shown):
         # float() and isfinite() take neither as a fault: True is 1
         with pytest.raises(DomainError, match=f"^{shown}$"):
@@ -281,6 +285,15 @@ class TestJetChecks:
         with pytest.raises(DegenerateCoefficient, match="jet field d2a_dx2 is not finite"):
             with np.errstate(over="ignore"):
                 CEVModel(sigma=0.3, alpha=0.5).jet(z)
+
+    @pytest.mark.parametrize("z", [True, np.True_, np.array([True, False])],
+                             ids=["bool", "numpy-bool", "bool-array"])
+    def test_check_z_rejects_a_bool(self, z):
+        # float() and np.asarray(dtype=float) read True as a basepoint of 1
+        with pytest.raises(DomainError, match="^basepoint z must be a number, not a bool$"):
+            _check_z(z)
+        with pytest.raises(DomainError, match="^basepoint z must be a number, not a bool$"):
+            BSMModel(sigma=0.3).jet(z)
 
     def test_check_z_keeps_the_input_kind(self):
         assert type(_check_z(3)) is float

@@ -464,6 +464,28 @@ class TestQuadrature:
         each = [greeks(quadrature, 0.1, x, 0.01)[1] for x in (15.0, 16.0)]
         np.testing.assert_allclose(gamma, each, rtol=1e-9)
 
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 3), ()], ids=["1x2", "2x3", "0-d"])
+    def test_nd_spots_are_the_flat_spots_reshaped(self, shape):
+        model = BSMModel(sigma=0.3, r=0.1)
+        spec, grid = KernelSpec(model, order=2), SpatialGrid(1.0, 40.0, 0.05)
+        x = np.linspace(14.0, 16.0, math.prod(shape)).reshape(shape)
+        values = price_quadrature(spec, 0.1, CallPayoff(15.0), x, grid)
+        flat = price_quadrature(spec, 0.1, CallPayoff(15.0), x.ravel(), grid)
+        assert type(values) is np.ndarray and values.shape == shape
+        assert np.shape(price_call_closed(2, model, 0.1, 15.0, x)) == shape
+        assert values.tobytes() == flat.tobytes()
+
+    @pytest.mark.parametrize("spot", [True, np.True_, np.array([True, False])],
+                             ids=["bool", "numpy-bool", "bool-array"])
+    def test_a_bool_spot_is_rejected(self, spot):
+        # float() reads True as a spot of 1
+        spec, grid = KernelSpec(BSMModel(sigma=0.3)), SpatialGrid(1.0, 40.0, 0.05)
+        for price in (lambda: price_quadrature(spec, 0.1, CallPayoff(15.0), spot, grid),
+                      lambda: price_call_closed(2, spec.model, 0.1, 15.0, spot),
+                      lambda: price_put(2, spec.model, 0.1, 15.0, spot)):
+            with pytest.raises(DomainError, match="^spot x must be a number, not a bool$"):
+                price()
+
     def test_order_zero_mass_through_flat_payoff(self):
         model = BSMModel(sigma=0.3, r=0.1)
         spec = KernelSpec(model, order=0)
@@ -525,8 +547,8 @@ class TestQuadrature:
 
     def test_block_is_evaluated_in_row_chunks(self):
         # evaluated whole, the midpoint rule's block-sized temporaries peak at
-        # 27 blocks; 64 rows at a time at 2.3, and kernel_matrix, which keeps
-        # its block, at 3.2
+        # 27 blocks; 64 rows at a time at 2.0, the budget's 40 rows at 1.3,
+        # and kernel_matrix, which keeps its block, at 3.2
         grid = SpatialGrid.regular(40.0, 0.05)
         spec = KernelSpec(CEVModel(sigma=0.3, alpha=2.0 / 3.0, r=0.1), 2, BasepointRule.MIDPOINT)
         with warnings.catch_warnings():
