@@ -14,9 +14,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, GridTooCoarseWarning
+from .errors import DomainError, GridTooCoarseWarning, _is_int, _positive
 from .grid import PriceCurve, SpatialGrid
-from .kernel import _KAPPA, KernelSpec, _hermite_coefficients, _is_int, _weighted_block
+from .kernel import _KAPPA, KernelSpec, _hermite_coefficients, _weighted_block
 from .models import BasepointRule
 from .pricing import Payoff, _norm_cdf, _why_no_closed_form, price_curve
 
@@ -35,8 +35,7 @@ class BootstrapConfig:
     grid: SpatialGrid
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.t_total) or self.t_total <= 0.0:
-            raise DomainError("t_total must be positive and finite")
+        _positive("t_total", self.t_total)
         if not _is_int(self.n_steps) or self.n_steps < 1:
             raise DomainError(f"n_steps must be an integer at least 1, got {self.n_steps!r}")
 
@@ -127,6 +126,7 @@ def bootstrap_solve(config: BootstrapConfig, payoff: Payoff) -> PriceCurve:
     Orders 0 and 1 miss the drift's O(tau) terms, which n steps add up to an
     error that does not fall with n: composing them over two or more steps of
     a model whose b or c is not 0 on the grid warns, after the matrix check.
+    Compose at z = x: z = y and the midpoint converge at first order in tau, even without drift.
     """
     spec, grid = config.spec, config.grid
     closed = _why_no_closed_form(spec.order, payoff, spec.basepoint) is None

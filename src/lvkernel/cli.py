@@ -33,7 +33,7 @@ __all__ = ["main"]
 
 
 class UsageError(Exception):
-    """Bad flag combination; maps to exit code 2."""
+    """Bad flag combination or unwritable --out; maps to exit code 2."""
 
 
 def _fmt(v: float) -> str:
@@ -143,15 +143,19 @@ def _payoff_from_params(params: dict) -> Payoff:
 
 
 def _write_artifact(text: str, out: Optional[str]) -> None:
-    """Write to stdout, or atomically to a file (write then rename)."""
+    """Write to stdout, or atomically to a file (write then rename, no temp file left)."""
     if out is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(out))
-    tmp = os.path.join(directory, "." + os.path.basename(out) + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, out)
+    tmp = os.path.join(os.path.dirname(os.path.abspath(out)), f".{os.path.basename(out)}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, out)
+    except OSError as exc:
+        if os.path.isfile(tmp):  # absent when open failed
+            os.remove(tmp)
+        raise UsageError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _csv(header: str, rows: Sequence[Sequence[float]]) -> str:
@@ -269,7 +273,7 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv, load the model, run the subcommand and write its artifact.
-    Returns 2 on a usage or model-loading error, 1 on a domain error."""
+    Returns 2 on a usage, --out or model-loading error, 1 on a domain error."""
     try:
         ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -285,13 +289,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             artifact = _COMMANDS[ns.command][0](model, vars(ns))
+        _write_artifact(artifact, ns.out)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except (DomainError, DegenerateCoefficient) as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    _write_artifact(artifact, ns.out)
     return 0
 
 

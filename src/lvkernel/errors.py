@@ -1,5 +1,7 @@
-"""Exception and warning types shared across the package, and the test of
-what counts as a number for the DomainErrors that reject a non-number."""
+"""Exception and warning types shared across the package, and the one rule for
+a scalar argument: a real number, not a bool, finite or positive as asked."""
+
+import math
 
 import numpy as np
 
@@ -35,3 +37,35 @@ class GridTooCoarseWarning(UserWarning):
 def _is_real(value) -> bool:
     """Whether value is a Python or NumPy real number; a bool is not one."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    """Whether value is a Python or NumPy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _float(name: str, value) -> float:
+    if not _is_real(value):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _finite(name: str, value) -> float:
+    """value as a float, or DomainError naming it unless it is a finite real number."""
+    if not math.isfinite(v := _float(name, value)):
+        raise DomainError(f"{name} must be finite, got {v}")
+    return v
+
+
+def _positive(name: str, value) -> float:
+    """value as a float, or DomainError naming it unless it is a positive, finite real."""
+    if not 0.0 < (v := _float(name, value)) < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {v}")
+    return v
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """np.asarray(value), or DomainError naming it unless its dtype is real (not bool)."""
+    if (a := np.asarray(value)).dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    return a

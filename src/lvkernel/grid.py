@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, _is_real
+from .errors import DomainError, _finite, _positive
 
 __all__ = ["SpatialGrid", "PriceCurve", "simpson_weights"]
 
@@ -26,17 +26,9 @@ class SpatialGrid:
     dx: float
 
     def __post_init__(self) -> None:
-        for name in ("x_min", "x_max", "dx"):
-            if not _is_real(value := getattr(self, name)):
-                raise DomainError(f"{name} must be a number, got {value!r}")
-        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max) and np.isfinite(self.dx)):
-            raise DomainError("grid bounds and spacing must be finite")
-        if self.x_min <= 0.0:
-            raise DomainError(f"x_min must be positive, got {self.x_min}")
-        if self.x_max <= self.x_min:
+        if _positive("x_min", self.x_min) >= _finite("x_max", self.x_max):
             raise DomainError("x_max must exceed x_min")
-        if self.dx <= 0.0:
-            raise DomainError("dx must be positive")
+        _positive("dx", self.dx)
         ratio = (self.x_max - self.x_min) / self.dx
         if abs(ratio - round(ratio)) > 1e-6 * max(1.0, ratio):
             raise DomainError(

@@ -21,17 +21,14 @@ over numpy arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, isfinite, pi, sqrt
-from typing import Union
+from math import factorial, pi, sqrt
 
 import numpy as np
 
-from .errors import DegenerateCoefficient, DomainError
-from .models import BasepointRule, CoefficientJet, Model, basepoint
+from .errors import DegenerateCoefficient, DomainError, _is_int, _positive
+from .models import ArrayLike, BasepointRule, CoefficientJet, Model, basepoint
 
 __all__ = ["KernelSpec", "kernel_eval"]
-
-ArrayLike = Union[float, np.ndarray]
 
 # the kernel is exactly zero past q = Q_MAX, ten widths out, where exp(-q) = 1.9e-22
 # is below double precision of the peak: a live band a quarter as wide as exp's 745
@@ -60,15 +57,12 @@ class KernelSpec:
     basepoint: BasepointRule = BasepointRule.AT_X
 
     def __post_init__(self) -> None:
+        if not isinstance(self.model, Model):
+            raise DomainError(f"model must be a Model, got {self.model!r}")
         if not _is_int(self.order) or self.order not in (0, 1, 2):
             raise DomainError(f"kernel order must be 0, 1 or 2, got {self.order!r}")
         if not isinstance(self.basepoint, BasepointRule):
             raise DomainError(f"basepoint must be a BasepointRule, got {self.basepoint!r}")
-
-
-def _is_int(value) -> bool:
-    """Whether value is a Python or NumPy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _hermite_coefficients(jet: CoefficientJet, t: float, kappa: float, order: int) -> list:
@@ -125,8 +119,7 @@ def _coefficients(jet: CoefficientJet, t: float, kappa: float, order: int) -> li
     """C_0..C_{3 order} of the order-n kernel G_0(d) sum_m C_m d^m, with the
     Gaussian's prefactor folded in: C_m = e_m s^-m / (s sqrt(2 pi)) for the
     powers e_m of the Hermite series."""
-    if not isfinite(t) or t <= 0.0:
-        raise DomainError(f"time must be positive and finite, got {t}")
+    t = _positive("time", t)
     s = jet.a * np.sqrt(t)  # a NumPy scalar: a width that underflows divides to inf
     c, scale = [], 1.0 / (s * sqrt(2.0 * pi))
     for em in _he_to_power(_hermite_coefficients(jet, t, kappa, order)):

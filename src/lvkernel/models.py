@@ -24,7 +24,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DegenerateCoefficient, DomainError, _is_real
+from .errors import DegenerateCoefficient, DomainError, _finite, _positive, _real_array
 
 __all__ = [
     "CoefficientJet",
@@ -90,7 +90,7 @@ class BasepointRule(Enum):
 def basepoint(rule: BasepointRule, x: ArrayLike, y: ArrayLike) -> ArrayLike:
     """Basepoint z(x, y) for the given rule.  Every rule satisfies z(x,x)=x."""
     # x and y apart: testing them broadcast together would build the block
-    for v in (np.asarray(x), np.asarray(y)):
+    for v in (_real_array("x", x), _real_array("y", y)):
         if not ((v > 0.0) & (v < np.inf)).all():
             raise DomainError("basepoint requires finite x > 0 and y > 0")
     if rule is BasepointRule.AT_X:
@@ -149,17 +149,8 @@ class _PowerLaw(Model):
 
     def __post_init__(self) -> None:
         for name in (f.name for f in fields(self)):
-            if not _is_real(value := getattr(self, name)):
-                raise DomainError(f"{name} must be a number, got {value!r}")
-        sigma, sigma_dot0, alpha, r = self._params
-        sigma = float(sigma)
-        if not np.isfinite(sigma) or sigma <= 0.0:
-            raise DomainError(f"sigma must be positive and finite, got {sigma}")
-        if not np.isfinite(float(r)):
-            raise DomainError("interest rate must be finite")
-        if not np.isfinite(sigma_dot0):
-            raise DomainError("sigma_dot0 must be finite")
-        if not np.isfinite(alpha) or not (0.0 < alpha <= 1.0):
+            (_positive if name == "sigma" else _finite)(name, getattr(self, name))
+        if not 0.0 < (alpha := self._params[2]) <= 1.0:
             raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
 
     def jet(self, z: ArrayLike) -> CoefficientJet:

@@ -6,15 +6,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bootstrap import BootstrapConfig, bootstrap_solve
-from .errors import DomainError, SingularMatrix
+from .errors import DomainError, SingularMatrix, _finite, _is_real, _positive, _real_array
 from .grid import PriceCurve, SpatialGrid
 from .kernel import KernelSpec
-from .models import BSMModel, CEVModel, CoefficientJet, Model, TimeDependentBSMModel
+from .models import ArrayLike, BSMModel, CEVModel, CoefficientJet, Model, TimeDependentBSMModel
 from .pricing import CallPayoff, Payoff, _closed, _norm_cdf
 
 __all__ = [
@@ -29,23 +29,19 @@ __all__ = [
     "bootstrap_error_table",
 ]
 
-ArrayLike = Union[float, np.ndarray]
-
 
 def _norm_pdf(x: ArrayLike) -> ArrayLike:
     x = np.asarray(x, dtype=float)
     return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
 
 
-def _finite_positive(*values: float) -> bool:
-    return all(math.isfinite(v) and v > 0.0 for v in values)
-
-
 def _bs_d1_d2(t: float, K: float, x: ArrayLike, sigma: ArrayLike, r: float):
-    sigma_ok = np.all((sigma > 0.0) & (sigma < np.inf))  # an array from hagan_woodward_price
-    if not (_finite_positive(t, K) and sigma_ok and math.isfinite(r)):
-        raise DomainError("bs_exact needs finite t > 0, K > 0, sigma > 0 and r")
-    xa = np.asarray(x, dtype=float)
+    t, K, r = _positive("t", t), _positive("K", K), _finite("r", r)
+    if not isinstance(sigma, np.ndarray):
+        sigma = _positive("sigma", sigma)
+    elif not np.all((sigma > 0.0) & (sigma < np.inf)):  # from hagan_woodward_price
+        raise DomainError("sigma must be positive and finite")
+    xa = np.asarray(_real_array("x", x), dtype=float)
     if not np.all(xa > 0.0):
         raise DomainError("bs_exact needs x > 0")
     st = sigma * np.sqrt(t)
@@ -78,9 +74,8 @@ def bs_kernel(t: float, x: float, y: ArrayLike, sigma: float, r: float = 0.0) ->
     exp(-rt) / (y sqrt(2 pi sigma^2 t)) * exp(-(ln(x/y) + (r - sigma^2/2) t)^2
                                               / (2 sigma^2 t))
     """
-    if not (_finite_positive(t, sigma, x) and math.isfinite(r)):
-        raise DomainError("bs_kernel needs finite t, sigma, x > 0 and r")
-    ya = np.asarray(y, dtype=float)
+    t, x, sigma, r = _positive("t", t), _positive("x", x), _positive("sigma", sigma), _finite("r", r)
+    ya = np.asarray(_real_array("y", y), dtype=float)
     if not np.all(ya > 0.0):
         raise DomainError("bs_kernel needs y > 0")
     s2t = sigma * sigma * t
@@ -97,11 +92,10 @@ def hagan_woodward_vol(t: float, K: float, s0: ArrayLike, sigma: float, beta: fl
     with a = sigma * sqrt((e^{2r(1-beta)T} - 1)/(2r(1-beta)T)) and
     f = (e^{rT} S0 + K)/2.  The r -> 0 singularity is removable (a -> sigma).
     """
-    if not (0.0 < beta < 1.0):
+    if not (_is_real(beta) and 0.0 < beta < 1.0):
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
-    if not (_finite_positive(t, K, sigma) and math.isfinite(r)):
-        raise DomainError("hagan_woodward_vol needs finite t, K, sigma > 0 and r")
-    s0a = np.asarray(s0, dtype=float)
+    t, K, sigma, r = _positive("t", t), _positive("K", K), _positive("sigma", sigma), _finite("r", r)
+    s0a = np.asarray(_real_array("s0", s0), dtype=float)
     if not np.all(s0a > 0.0):
         raise DomainError("hagan_woodward_vol needs s0 > 0")
     u = 2.0 * r * (1.0 - beta) * t
@@ -133,10 +127,8 @@ class CNConfig:
     t_total: float
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0 or not np.isfinite(self.dt):
-            raise DomainError("dt must be positive and finite")
-        if not math.isfinite(self.t_total) or self.t_total < self.dt:
-            raise DomainError("t_total must be finite and at least dt")
+        if _positive("dt", self.dt) > _positive("t_total", self.t_total):
+            raise DomainError("t_total must be at least dt")
 
     @property
     def n_steps(self) -> int:
@@ -318,5 +310,6 @@ def bootstrap_error_table(model: Model, strike: float, times: Sequence[float],
     mask = (grid.nodes > window[0]) & (grid.nodes <= window[1])
     if not np.any(mask):
         raise DomainError(f"error window ({window[0]:g}, {window[1]:g}] holds no grid node")
-    scored = _scored(KernelSpec(model), payoff, grid, [float(t) for t in times], n_steps, oracle_at)
+    times = [_positive("time", t) for t in times]
+    scored = _scored(KernelSpec(model), payoff, grid, times, n_steps, oracle_at)
     return [(t, float(np.max(np.abs(approx[mask] - ref[mask])))) for t, approx, ref in scored]

@@ -8,14 +8,14 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, GridTooCoarseWarning
+from .errors import DomainError, GridTooCoarseWarning, _is_int, _positive
 from .grid import PriceCurve, SpatialGrid, simpson_weights
-from .kernel import KernelSpec, _he_to_power, _hermite_coefficients, _is_int, _kernel_rows
-from .models import BasepointRule, CoefficientJet, Model
+from .kernel import KernelSpec, _he_to_power, _hermite_coefficients, _kernel_rows
+from .models import ArrayLike, BasepointRule, CoefficientJet, Model
 
 __all__ = [
     "Payoff",
@@ -31,8 +31,6 @@ __all__ = [
     "greeks",
     "curve_greeks",
 ]
-
-ArrayLike = Union[float, np.ndarray]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT1_2 = math.sqrt(0.5)
@@ -105,11 +103,6 @@ def _ndtr(x) -> ArrayLike:
     return _ndtr(x)
 
 
-def _check_strike(K: float) -> None:
-    if not math.isfinite(K) or K <= 0.0:
-        raise DomainError("strike must be positive")
-
-
 class Payoff:
     """Terminal condition h(y).  Subclasses are callable on scalars or arrays."""
 
@@ -122,7 +115,7 @@ class CallPayoff(Payoff):
     strike: float
 
     def __post_init__(self) -> None:
-        _check_strike(self.strike)
+        _positive("strike", self.strike)
 
     def __call__(self, y: ArrayLike) -> ArrayLike:
         return np.maximum(np.asarray(y, dtype=float) - self.strike, 0.0)
@@ -133,7 +126,7 @@ class PutPayoff(Payoff):
     strike: float
 
     def __post_init__(self) -> None:
-        _check_strike(self.strike)
+        _positive("strike", self.strike)
 
     def __call__(self, y: ArrayLike) -> ArrayLike:
         return np.maximum(self.strike - np.asarray(y, dtype=float), 0.0)
@@ -148,9 +141,9 @@ class ButterflyPayoff(Payoff):
     k2: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.k1 < self.k < self.k2):
+        k1, k, k2 = (_positive("strike", v) for v in (self.k1, self.k, self.k2))
+        if not k1 < k < k2:
             raise DomainError("butterfly strikes must satisfy 0 < k1 < k < k2")
-        _check_strike(self.k2)  # the ordering already bounds k1 and k
 
     @property
     def call_weights(self) -> tuple[float, float, float]:
@@ -249,8 +242,7 @@ def _closed(order: int, model: Model, t: float, payoff: Payoff, x: ArrayLike,
     before the butterfly's calls combine; only the put keeps it, for the forward."""
     if (reason := _why_no_closed_form(order, payoff, rule)) is not None:
         raise DomainError(reason)
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError(f"time must be positive and finite, got {t}")
+    t = _positive("time", t)
     xs = _spot(x)
     if isinstance(payoff, ButterflyPayoff):
         w1, w2, w3 = payoff.call_weights
@@ -368,8 +360,7 @@ def greeks(price_fn: Callable[[float, ArrayLike], ArrayLike], t: float, x: Array
     delta = (u(t, x+dx) - u(t, x-dx)) / (2 dx)
     gamma = (u(t, x+dx) + u(t, x-dx) - 2 u(t, x)) / dx^2
     """
-    if not (math.isfinite(dx) and dx > 0.0):
-        raise DomainError("dx must be positive and finite")
+    dx = _positive("dx", dx)
     if np.any(np.asarray(x) - dx <= 0.0):
         raise DomainError("greeks need x - dx > 0")
     up = price_fn(t, np.asarray(x) + dx)

@@ -238,6 +238,19 @@ class TestArtifacts:
         leftovers = [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
         assert leftovers == []
 
+    @pytest.mark.parametrize("target, reason", [("missing/curve.csv", "No such file or directory"),
+                                                ("folder", "Is a directory")],
+                             ids=["missing-directory", "a-directory"])
+    def test_unwritable_out_is_a_one_line_usage_error(self, tmp_path, capsys, target, reason):
+        # a missing directory ended in a FileNotFoundError traceback, and a
+        # directory in IsADirectoryError with .folder.tmp left beside it
+        (tmp_path / "folder").mkdir()
+        out = tmp_path / target
+        rc = main(self.ARGS + ["--out", str(out)])
+        assert (rc, capsys.readouterr()) == (2, ("", f"cannot write {out}: {reason}\n"))
+        assert [p.name for p in tmp_path.iterdir()] == ["folder"]
+        assert list((tmp_path / "folder").iterdir()) == []
+
     def test_byte_determinism(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(self.ARGS + ["--out", str(a)]) == 0

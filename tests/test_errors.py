@@ -1,0 +1,138 @@
+"""One rule for every scalar argument, in errors.py: each public scalar
+parameter rejects a bool, a string, None and a value out of its range with a
+DomainError that names it, and reads a Python or NumPy number as the equal
+float, to the bit."""
+
+import numpy as np
+import pytest
+
+import lvkernel as lv
+from lvkernel.errors import DomainError
+
+MODEL = lv.BSMModel(0.3)
+SPEC = lv.KernelSpec(MODEL)
+GRID = lv.SpatialGrid.regular(40.0, 0.5)
+CALL = lv.CallPayoff(15.0)
+
+NOT_NUMBERS = {"bool": True, "numpy-bool": np.True_, "str": "0.1", "none": None}
+NOT_FINITE = {"nan": float("nan"), "inf": float("inf")}
+NOT_POSITIVE = {"zero": 0, "negative": -1}
+# the values each kind of parameter rejects: a spot keeps its range check, which
+# reads an infinite spot as a price
+BAD = {
+    "positive": {**NOT_NUMBERS, **NOT_FINITE, **NOT_POSITIVE},
+    "finite": {**NOT_NUMBERS, **NOT_FINITE},
+    "spot": {**NOT_NUMBERS, "nan": float("nan"), **NOT_POSITIVE},
+}
+
+
+def _quote(price):
+    return lambda t=0.1, K=15.0: price(2, MODEL, t, K, 15.0)
+
+
+def _bs(oracle):
+    return lambda t=0.1, K=15.0, x=15.0, sigma=0.3, r=0.0: oracle(t, K, x, sigma, r)
+
+
+def _bs_kernel(t=0.1, x=15.0, y=15.5, sigma=0.3, r=0.0):
+    return lv.bs_kernel(t, x, y, sigma, r)
+
+
+def _hagan_woodward(t=0.1, K=15.0, s0=15.0, sigma=0.3, r=0.0):
+    return lv.hagan_woodward_vol(t, K, s0, sigma, 0.5, r)
+
+
+def _butterfly(k1=14.0, k=15.0, k2=16.0, t=0.1):
+    return lv.price_butterfly_closed(2, MODEL, t, lv.ButterflyPayoff(k1, k, k2), 15.0)
+
+
+def _grid(x_min=1.0, x_max=9.0, dx=1.0):
+    grid = lv.SpatialGrid(x_min, x_max, dx)
+    return grid.nodes, grid.weights
+
+
+# (function, parameter, the name its message gives, kind, an integral value it
+# accepts); the test id is the public callable and the parameter
+PARAMETERS = {
+    "price_call_closed-t": (_quote(lv.price_call_closed), "t", "time", "positive", 1),
+    "price_call_closed-K": (_quote(lv.price_call_closed), "K", "strike", "positive", 15),
+    "price_put-t": (_quote(lv.price_put), "t", "time", "positive", 1),
+    "price_put-K": (_quote(lv.price_put), "K", "strike", "positive", 15),
+    "price_butterfly_closed-t": (_butterfly, "t", "time", "positive", 1),
+    **{f"ButterflyPayoff-{k}": (_butterfly, k, "strike", "positive", good)
+       for k, good in (("k1", 14), ("k", 15), ("k2", 16))},
+    "CallPayoff-strike": (lambda strike: lv.CallPayoff(strike)(GRID.nodes),
+                          "strike", "strike", "positive", 5),
+    "PutPayoff-strike": (lambda strike: lv.PutPayoff(strike)(GRID.nodes),
+                         "strike", "strike", "positive", 5),
+    "kernel_eval-t": (lambda t: lv.kernel_eval(SPEC, t, 15.0, 15.5), "t", "time", "positive", 1),
+    "kernel_eval-y": (lambda y: lv.kernel_eval(SPEC, 0.1, 15.0, y), "y", "y", "spot", None),
+    "kernel_matrix-tau": (lambda tau: lv.kernel_matrix(SPEC, tau, GRID),
+                          "tau", "time", "positive", 1),
+    "greeks-dx": (lambda dx: lv.greeks(lambda t, x: lv.price_call_closed(2, MODEL, t, 15.0, x),
+                                       0.1, 15.0, dx), "dx", "dx", "positive", 1),
+    "BootstrapConfig-t_total": (
+        lambda t_total: lv.bootstrap_solve(lv.BootstrapConfig(SPEC, t_total, 10, GRID), CALL).values,
+        "t_total", "t_total", "positive", 1),
+    "CNConfig-dt": (lambda dt: lv.cn_solve(MODEL, lv.CNConfig(GRID, dt, 2.0), CALL).values,
+                    "dt", "dt", "positive", 1),
+    "CNConfig-t_total": (
+        lambda t_total: lv.cn_solve(MODEL, lv.CNConfig(GRID, 0.25, t_total), CALL).values,
+        "t_total", "t_total", "positive", 1),
+    "bootstrap_error_table-times": (
+        lambda times: lv.bootstrap_error_table(MODEL, 15.0, [times], 10, GRID),
+        "times", "time", "positive", 1),
+    **{f"{oracle.__name__}-{name}": (_bs(oracle), name, name, kind, good)
+       for oracle in (lv.bs_exact, lv.bs_delta, lv.bs_gamma)
+       for name, kind, good in (("t", "positive", 1), ("K", "positive", 15), ("x", "spot", None),
+                                ("sigma", "positive", 1), ("r", "finite", 0))},
+    **{f"bs_kernel-{name}": (_bs_kernel, name, name, kind, good)
+       for name, kind, good in (("t", "positive", 1), ("x", "positive", 15), ("y", "spot", None),
+                                ("sigma", "positive", 1), ("r", "finite", 0))},
+    **{f"hagan_woodward_vol-{name}": (_hagan_woodward, name, name, kind, good)
+       for name, kind, good in (("t", "positive", 1), ("K", "positive", 15), ("s0", "spot", None),
+                                ("sigma", "positive", 1), ("r", "finite", 0))},
+    "basepoint-x": (lambda x: lv.basepoint(lv.BasepointRule.AT_X, x, 2.0), "x", "x", "spot", None),
+    "basepoint-y": (lambda y: lv.basepoint(lv.BasepointRule.AT_X, 2.0, y), "y", "y", "spot", None),
+    **{f"SpatialGrid-{name}": (_grid, name, name, "positive", good)
+       for name, good in (("x_min", 1), ("x_max", 9), ("dx", 1))},
+    "BSMModel-sigma": (lambda sigma: lv.price_call_closed(2, lv.BSMModel(sigma), 0.1, 15.0, 15.0),
+                       "sigma", "sigma", "positive", 1),
+    "BSMModel-r": (lambda r: lv.price_call_closed(2, lv.BSMModel(0.3, r), 0.1, 15.0, 15.0),
+                   "r", "r", "finite", 0),
+    "TimeDependentBSMModel-sigma_dot0": (
+        lambda sigma_dot0: lv.price_call_closed(2, lv.TimeDependentBSMModel(0.3, sigma_dot0),
+                                                0.1, 15.0, 15.0),
+        "sigma_dot0", "sigma_dot0", "finite", 1),
+    "CEVModel-alpha": (
+        lambda alpha: lv.price_call_closed(2, lv.CEVModel(0.3, alpha), 0.1, 15.0, 15.0),
+        "alpha", "alpha", "positive", 1),
+}
+
+REJECTIONS = [pytest.param(fn, parameter, name, bad, id=f"{key}-{label}")
+              for key, (fn, parameter, name, kind, _) in PARAMETERS.items()
+              for label, bad in BAD[kind].items()]
+
+
+@pytest.mark.parametrize("fn, parameter, name, bad", REJECTIONS)
+def test_a_bad_scalar_is_a_domain_error_naming_it(fn, parameter, name, bad):
+    # True and np.True_ priced as 1; "0.1" and None raised a bare TypeError
+    with pytest.raises(DomainError, match=rf"(^|\s){name}\b"):
+        fn(**{parameter: bad})
+
+
+def _bits(result):
+    """A result's types and bytes, for a float, an array or a tuple or list of them."""
+    if isinstance(result, (tuple, list)):
+        return [_bits(r) for r in result]
+    return type(result), np.asarray(result).tobytes()
+
+
+ACCEPTED = [pytest.param(fn, parameter, good, id=key)
+            for key, (fn, parameter, _, _, good) in PARAMETERS.items() if good is not None]
+
+
+@pytest.mark.parametrize("kind", [int, np.int64, np.float64])
+@pytest.mark.parametrize("fn, parameter, good", ACCEPTED)
+def test_a_python_or_numpy_number_is_its_float(fn, parameter, good, kind):
+    assert _bits(fn(**{parameter: kind(good)})) == _bits(fn(**{parameter: float(good)}))

@@ -223,6 +223,12 @@ class TestKernelEval:
         with pytest.raises(DomainError, match=f"^basepoint must be a BasepointRule, got {rule!r}$"):
             KernelSpec(BSMModel(sigma=0.3, r=0.1), 2, rule)
 
+    @pytest.mark.parametrize("model", ["bsm", None, BSMModel])
+    def test_model_must_be_a_model(self, model):
+        # "bsm" used to construct, then fail in kernel_eval with a bare AttributeError
+        with pytest.raises(DomainError, match=f"^model must be a Model, got {re.escape(repr(model))}$"):
+            KernelSpec(model)
+
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_underflow_region_is_exactly_zero(self, order):
         # q = (x-y)^2 / (2 t a^2) ~ 988 here, past the exp underflow too

@@ -157,8 +157,8 @@ class TestClosedFormCall:
         for price in (price_call_closed, price_put):
             for order, t, K, message in ((3, 0.1, 15.0, "price order must be 1 or 2, got 3"),
                                          (1, 0.0, 15.0, "time must be positive and finite, got 0.0"),
-                                         (1, 0.1, -15.0, "strike must be positive"),
-                                         (3, 0.0, -15.0, "strike must be positive")):
+                                         (1, 0.1, -15.0, "strike must be positive and finite, got -15.0"),
+                                         (3, 0.0, -15.0, "strike must be positive and finite, got -15.0")):
                 with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                     price(order, model, t, K, 15.0)
         # a butterfly's strikes are checked when it is built, and order before time
