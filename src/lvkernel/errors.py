@@ -1,5 +1,6 @@
 """Exception and warning types shared across the package, and the one rule for
-a scalar argument: a real number, not a bool, finite or positive as asked."""
+a scalar argument: a real number, not a bool, finite or positive as asked; a
+spot is a positive, finite real number or a real ndarray of them."""
 
 import math
 
@@ -62,6 +63,20 @@ def _positive(name: str, value) -> float:
     if not 0.0 < (v := _float(name, value)) < math.inf:
         raise DomainError(f"{name} must be positive and finite, got {v}")
     return v
+
+
+def _spots(name: str, value):
+    """A spot or spots: a real number or 0-d array as a float, any other real
+    ndarray as a float64 array of its shape, or DomainError naming it unless
+    every entry lies in (0, inf).  min() and max() allocate no array-sized mask."""
+    if isinstance(value, float) and 0.0 < value < math.inf:  # a scalar quote's spot: first
+        return float(value)
+    if not isinstance(value, np.ndarray):
+        return _positive(name, value)
+    a = np.asarray(_real_array(name, value), dtype=float)
+    if a.size and not 0.0 < (lo := a.min()) <= (hi := a.max()) < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {hi if lo > 0.0 else lo}")
+    return a if a.ndim else float(a)
 
 
 def _real_array(name: str, value) -> np.ndarray:

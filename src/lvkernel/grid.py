@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, _finite, _positive
+from .errors import DomainError, _finite, _positive, _real_array
 
 __all__ = ["SpatialGrid", "PriceCurve", "simpson_weights"]
 
@@ -96,8 +96,8 @@ class PriceCurve:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        x = np.asarray(_real_array("x", self.x), dtype=float)
+        v = np.asarray(_real_array("values", self.values), dtype=float)
         if x.ndim != 1 or v.shape != x.shape:
             raise DomainError("x and values must be 1-D arrays of equal length")
         if x.size < 1:

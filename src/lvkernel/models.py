@@ -24,7 +24,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DegenerateCoefficient, DomainError, _finite, _positive, _real_array
+from .errors import DegenerateCoefficient, DomainError, _finite, _positive, _spots
 
 __all__ = [
     "CoefficientJet",
@@ -88,11 +88,12 @@ class BasepointRule(Enum):
 
 
 def basepoint(rule: BasepointRule, x: ArrayLike, y: ArrayLike) -> ArrayLike:
-    """Basepoint z(x, y) for the given rule.  Every rule satisfies z(x,x)=x."""
-    # x and y apart: testing them broadcast together would build the block
-    for v in (_real_array("x", x), _real_array("y", y)):
-        if not ((v > 0.0) & (v < np.inf)).all():
-            raise DomainError("basepoint requires finite x > 0 and y > 0")
+    """Basepoint z(x, y) for the given rule.  Every rule satisfies z(x,x)=x.
+
+    x and y are spots (errors._spots): each a positive, finite real number or
+    a real ndarray of them, tested apart so that no block is built for it."""
+    _spots("x", x)
+    _spots("y", y)
     if rule is BasepointRule.AT_X:
         return x
     if rule is BasepointRule.AT_Y:
@@ -102,20 +103,6 @@ def basepoint(rule: BasepointRule, x: ArrayLike, y: ArrayLike) -> ArrayLike:
     raise DomainError(f"unknown basepoint rule {rule!r}")
 
 
-def _check_z(z: ArrayLike) -> ArrayLike:
-    if isinstance(z, (float, int)) and not isinstance(z, bool):
-        z = float(z)
-        if 0.0 < z < math.inf:
-            return z
-    else:
-        if (z := np.asarray(z)).dtype == bool:  # np.asarray(z, dtype=float) reads True as 1
-            raise DomainError("basepoint z must be a number, not a bool")
-        z = np.asarray(z, dtype=float)
-        if ((z > 0.0) & (z < np.inf)).all():
-            return z if z.ndim else float(z)
-    raise DomainError("basepoint z must be positive and finite")
-
-
 class Model(ABC):
     """A local-volatility model: immutable, pure, safe to share across threads."""
 
@@ -123,7 +110,9 @@ class Model(ABC):
 
     @abstractmethod
     def jet(self, z: ArrayLike) -> CoefficientJet:
-        """Exact analytic coefficient jet at (t=0, z).  z may be an array."""
+        """Exact analytic coefficient jet at (t=0, z).  z is a spot
+        (errors._spots): a positive, finite real number, or a real ndarray of
+        them, which gives array fields (a 0-d array reads as a float)."""
 
     @property
     def is_time_dependent(self) -> bool:
@@ -154,7 +143,7 @@ class _PowerLaw(Model):
             raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
 
     def jet(self, z: ArrayLike) -> CoefficientJet:
-        z = _check_z(z)
+        z = _spots("z", z)
         sigma, sigma_dot0, alpha, r = self._params
         zero = np.zeros_like(z) if isinstance(z, np.ndarray) else 0.0
         if alpha == 1.0:  # no z**(alpha - 2) = 1/z here: it overflows for tiny z
@@ -210,7 +199,7 @@ class CustomModel(Model):
     kind = "custom"
 
     def jet(self, z: ArrayLike) -> CoefficientJet:
-        z = _check_z(z)
+        z = _spots("z", z)
         jet = self.jet_fn(z)
         if not isinstance(jet, CoefficientJet):
             raise DomainError("custom jet function must return a CoefficientJet")

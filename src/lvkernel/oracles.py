@@ -11,7 +11,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bootstrap import BootstrapConfig, bootstrap_solve
-from .errors import DomainError, SingularMatrix, _finite, _is_real, _positive, _real_array
+from .errors import DomainError, SingularMatrix, _finite, _float, _is_real, _positive, _spots
 from .grid import PriceCurve, SpatialGrid
 from .kernel import KernelSpec
 from .models import ArrayLike, BSMModel, CEVModel, CoefficientJet, Model, TimeDependentBSMModel
@@ -41,9 +41,7 @@ def _bs_d1_d2(t: float, K: float, x: ArrayLike, sigma: ArrayLike, r: float):
         sigma = _positive("sigma", sigma)
     elif not np.all((sigma > 0.0) & (sigma < np.inf)):  # from hagan_woodward_price
         raise DomainError("sigma must be positive and finite")
-    xa = np.asarray(_real_array("x", x), dtype=float)
-    if not np.all(xa > 0.0):
-        raise DomainError("bs_exact needs x > 0")
+    xa = _spots("x", x)
     st = sigma * np.sqrt(t)
     d1 = (np.log(xa / K) + (r + 0.5 * sigma * sigma) * t) / st
     return d1, d1 - st
@@ -75,9 +73,7 @@ def bs_kernel(t: float, x: float, y: ArrayLike, sigma: float, r: float = 0.0) ->
                                               / (2 sigma^2 t))
     """
     t, x, sigma, r = _positive("t", t), _positive("x", x), _positive("sigma", sigma), _finite("r", r)
-    ya = np.asarray(_real_array("y", y), dtype=float)
-    if not np.all(ya > 0.0):
-        raise DomainError("bs_kernel needs y > 0")
+    ya = _spots("y", y)
     s2t = sigma * sigma * t
     arg = (np.log(x / ya) + (r - 0.5 * sigma * sigma) * t) ** 2 / (2.0 * s2t)
     return np.exp(-r * t) / (ya * np.sqrt(2.0 * np.pi * s2t)) * np.exp(-arg)
@@ -95,9 +91,7 @@ def hagan_woodward_vol(t: float, K: float, s0: ArrayLike, sigma: float, beta: fl
     if not (_is_real(beta) and 0.0 < beta < 1.0):
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
     t, K, sigma, r = _positive("t", t), _positive("K", K), _positive("sigma", sigma), _finite("r", r)
-    s0a = np.asarray(_real_array("s0", s0), dtype=float)
-    if not np.all(s0a > 0.0):
-        raise DomainError("hagan_woodward_vol needs s0 > 0")
+    s0a = _spots("s0", s0)
     u = 2.0 * r * (1.0 - beta) * t
     growth = np.expm1(u) / u if u != 0.0 else 1.0
     a = sigma * np.sqrt(growth)
@@ -298,18 +292,19 @@ def bootstrap_error_table(model: Model, strike: float, times: Sequence[float],
     For each maturity in `times`, the largest absolute deviation of _scored's
     approximation (KernelSpec(model), order 2 at z = x, a call struck at
     `strike`, n_steps sub-steps) from the named oracle's prices over the grid
-    nodes x with window[0] < x <= window[1].  Before any solve, the oracle
-    must fit the model (see _reference) and the window must hold a grid node
-    and end inside the grid, where the composition keeps its mass.
+    nodes x with window[0] < x <= window[1].  Before any solve, the window's
+    bounds must be real numbers, the oracle must fit the model (see
+    _reference), and the window must hold a grid node and end inside the
+    grid, where the composition keeps its mass.
     """
+    lo, hi = (_float("window", w) for w in window)  # a nan bound holds no node: said below
     payoff = CallPayoff(strike)
     oracle_at = _reference(oracle, model, payoff, grid)
-    if window[1] > grid.x_max:
-        raise DomainError(f"error window ends at {window[1]:g}, past the grid's "
-                          f"x_max {grid.x_max:g}")
-    mask = (grid.nodes > window[0]) & (grid.nodes <= window[1])
+    if hi > grid.x_max:
+        raise DomainError(f"error window ends at {hi:g}, past the grid's x_max {grid.x_max:g}")
+    mask = (grid.nodes > lo) & (grid.nodes <= hi)
     if not np.any(mask):
-        raise DomainError(f"error window ({window[0]:g}, {window[1]:g}] holds no grid node")
+        raise DomainError(f"error window ({lo:g}, {hi:g}] holds no grid node")
     times = [_positive("time", t) for t in times]
     scored = _scored(KernelSpec(model), payoff, grid, times, n_steps, oracle_at)
     return [(t, float(np.max(np.abs(approx[mask] - ref[mask])))) for t, approx, ref in scored]

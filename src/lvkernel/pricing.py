@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, GridTooCoarseWarning, _is_int, _positive
+from .errors import DomainError, GridTooCoarseWarning, _is_int, _positive, _spots
 from .grid import PriceCurve, SpatialGrid, simpson_weights
 from .kernel import KernelSpec, _he_to_power, _hermite_coefficients, _kernel_rows
 from .models import ArrayLike, BasepointRule, CoefficientJet, Model
@@ -224,16 +224,6 @@ def _calls(order: int, jet: CoefficientJet, t: float, strikes, x: ArrayLike) -> 
     return calls
 
 
-def _spot(x: ArrayLike) -> ArrayLike:
-    """A spot as every price takes it: an ndarray as floats, anything else
-    through float(); a bool, which float() reads as 0 or 1, is rejected."""
-    if isinstance(x, float):  # a scalar quote's spot, np.float64 too: first and cheapest
-        return float(x)
-    if isinstance(x, (bool, np.bool_)) or isinstance(x, np.ndarray) and x.dtype == bool:
-        raise DomainError("spot x must be a number, not a bool")
-    return np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
-
-
 def _closed(order: int, model: Model, t: float, payoff: Payoff, x: ArrayLike,
             rule: BasepointRule = BasepointRule.AT_X) -> ArrayLike:
     """The one body of every closed form, past _why_no_closed_form: the payoff's
@@ -243,7 +233,7 @@ def _closed(order: int, model: Model, t: float, payoff: Payoff, x: ArrayLike,
     if (reason := _why_no_closed_form(order, payoff, rule)) is not None:
         raise DomainError(reason)
     t = _positive("time", t)
-    xs = _spot(x)
+    xs = _spots("x", x)
     if isinstance(payoff, ButterflyPayoff):
         w1, w2, w3 = payoff.call_weights
         c1, c2, c3 = _calls(order, model.jet(xs), t, (payoff.k1, payoff.k, payoff.k2), xs)
@@ -311,7 +301,7 @@ def _quadrature(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike,
     wh = grid.weights * hy
     wh2 = (simpson_weights(grid.n_nodes // 2 + 1, 2.0 * grid.dx) * hy[::2]
            if grid.n_intervals % 2 == 0 and grid.n_intervals >= 4 else None)
-    xa = np.ravel(_spot(x))
+    xa = np.ravel(_spots("x", x))
     vals, coarse = np.empty(xa.size), np.empty(xa.size)
     for rows, k in _kernel_rows(spec, t, xa, y):
         vals[rows] = k @ wh
@@ -360,11 +350,11 @@ def greeks(price_fn: Callable[[float, ArrayLike], ArrayLike], t: float, x: Array
     delta = (u(t, x+dx) - u(t, x-dx)) / (2 dx)
     gamma = (u(t, x+dx) + u(t, x-dx) - 2 u(t, x)) / dx^2
     """
-    dx = _positive("dx", dx)
-    if np.any(np.asarray(x) - dx <= 0.0):
+    dx, x = _positive("dx", dx), _spots("x", x)
+    if np.any(x - dx <= 0.0):
         raise DomainError("greeks need x - dx > 0")
-    up = price_fn(t, np.asarray(x) + dx)
-    dn = price_fn(t, np.asarray(x) - dx)
+    up = price_fn(t, x + dx)
+    dn = price_fn(t, x - dx)
     mid = price_fn(t, x)
     delta = (np.asarray(up) - np.asarray(dn)) / (2.0 * dx)
     gamma = (np.asarray(up) + np.asarray(dn) - 2.0 * np.asarray(mid)) / dx**2

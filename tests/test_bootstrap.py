@@ -1,6 +1,7 @@
 """Sub-step composition of the approximate kernel: the dense propagation
 matrix, the composed solve, and its long-maturity error behavior."""
 
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -637,6 +638,22 @@ class TestErrorTableOracles:
         with pytest.raises(DomainError, match=r"error window \(.*\] holds no grid node"):
             bootstrap_error_table(BSMModel(0.5, 0.1), 20.0, [0.2], 2,
                                   SpatialGrid.regular(50.0, 0.1), window=window)
+
+    @pytest.mark.parametrize("bound", [True, np.True_, "0", None],
+                             ids=["bool", "numpy-bool", "str", "none"])
+    @pytest.mark.parametrize("end", [0, 1], ids=["start", "end"])
+    def test_window_bound_not_a_number_rejected_before_any_solve(self, bound, end, monkeypatch):
+        # True ran as the window (1, 10]; "0" and None raised a bare TypeError
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the window was checked")
+
+        monkeypatch.setattr("lvkernel.oracles.bootstrap_solve", no_solve)
+        window = [1.0, 10.0]
+        window[end] = bound
+        message = rf"^window must be a number, got {re.escape(repr(bound))}$"
+        with pytest.raises(DomainError, match=message):
+            bootstrap_error_table(BSMModel(0.5, 0.1), 20.0, [0.2], 2,
+                                  SpatialGrid.regular(50.0, 0.1), window=tuple(window))
 
     def test_unknown_oracle_rejected(self):
         grid = SpatialGrid.regular(40.0, 0.1)

@@ -286,7 +286,7 @@ class TestKernelCommand:
                    "--t", "0.1", "--x", "nan", "--grid", "14:16:1", "--basepoint", "aty"])
         out, err = capsys.readouterr()
         assert (rc, out) == (1, "")
-        assert err == "basepoint requires finite x > 0 and y > 0\n"
+        assert err == "x must be positive and finite, got nan\n"
 
     @pytest.mark.filterwarnings("error")
     def test_width_too_small_is_a_one_line_domain_failure(self, capsys):

@@ -1,7 +1,11 @@
 """One rule for every scalar argument, in errors.py: each public scalar
 parameter rejects a bool, a string, None and a value out of its range with a
 DomainError that names it, and reads a Python or NumPy number as the equal
-float, to the bit."""
+float, to the bit.  A spot (x, y, z, s0) takes one more rule: a real ndarray
+reads as the equal float64 array, and a list, or an array with one entry out
+of (0, inf), is rejected too."""
+
+import inspect
 
 import numpy as np
 import pytest
@@ -13,21 +17,25 @@ MODEL = lv.BSMModel(0.3)
 SPEC = lv.KernelSpec(MODEL)
 GRID = lv.SpatialGrid.regular(40.0, 0.5)
 CALL = lv.CallPayoff(15.0)
+FINE_GRID = lv.SpatialGrid(1.0, 40.0, 0.05)
 
 NOT_NUMBERS = {"bool": True, "numpy-bool": np.True_, "str": "0.1", "none": None}
 NOT_FINITE = {"nan": float("nan"), "inf": float("inf")}
 NOT_POSITIVE = {"zero": 0, "negative": -1}
-# the values each kind of parameter rejects: a spot keeps its range check, which
-# reads an infinite spot as a price
+# the values each kind of parameter rejects; a curve's samples may be any
+# real numbers, so only their kind is checked
 BAD = {
     "positive": {**NOT_NUMBERS, **NOT_FINITE, **NOT_POSITIVE},
     "finite": {**NOT_NUMBERS, **NOT_FINITE},
-    "spot": {**NOT_NUMBERS, "nan": float("nan"), **NOT_POSITIVE},
+    "spot": {**NOT_NUMBERS, **NOT_FINITE, **NOT_POSITIVE, "list": [15.0, 16.0],
+             "bad-entry": np.array([14.0, np.nan, 16.0])},
+    "samples": {**NOT_NUMBERS, "str-list": ["1", "2"], "bool-list": [False, True]},
 }
+SPOT_NAMES = ("x", "y", "z", "s0")
 
 
 def _quote(price):
-    return lambda t=0.1, K=15.0: price(2, MODEL, t, K, 15.0)
+    return lambda t=0.1, K=15.0, x=15.0: price(2, MODEL, t, K, x)
 
 
 def _bs(oracle):
@@ -42,8 +50,32 @@ def _hagan_woodward(t=0.1, K=15.0, s0=15.0, sigma=0.3, r=0.0):
     return lv.hagan_woodward_vol(t, K, s0, sigma, 0.5, r)
 
 
-def _butterfly(k1=14.0, k=15.0, k2=16.0, t=0.1):
-    return lv.price_butterfly_closed(2, MODEL, t, lv.ButterflyPayoff(k1, k, k2), 15.0)
+def _butterfly(k1=14.0, k=15.0, k2=16.0, t=0.1, x=15.0):
+    return lv.price_butterfly_closed(2, MODEL, t, lv.ButterflyPayoff(k1, k, k2), x)
+
+
+def _greeks(x=15.0, dx=0.01):
+    return lv.greeks(lambda t, x: lv.price_call_closed(2, MODEL, t, 15.0, x), 0.1, x, dx)
+
+
+def _jet(model):
+    return lambda z: tuple(vars(model.jet(z)).values())
+
+
+def _curve(cls):
+    def build(x=(1.0, 2.0), values=(0.0, 1.0)):
+        curve = cls(x, values)
+        return curve.x, curve.values
+    return build
+
+
+JET_MODELS = {
+    "BSMModel": MODEL,
+    "CEVModel": lv.CEVModel(0.3, 0.5),
+    "TimeDependentBSMModel": lv.TimeDependentBSMModel(0.3, 0.2, 0.1),
+    "CustomModel": lv.CustomModel(lambda z: lv.CoefficientJet(0.3 * z, 0.3, 0.0, 0.0,
+                                                              0.1 * z, 0.1, -0.1)),
+}
 
 
 def _grid(x_min=1.0, x_max=9.0, dx=1.0):
@@ -52,13 +84,16 @@ def _grid(x_min=1.0, x_max=9.0, dx=1.0):
 
 
 # (function, parameter, the name its message gives, kind, an integral value it
-# accepts); the test id is the public callable and the parameter
+# accepts); the key is the public callable (or a model's jet) and the parameter
 PARAMETERS = {
-    "price_call_closed-t": (_quote(lv.price_call_closed), "t", "time", "positive", 1),
-    "price_call_closed-K": (_quote(lv.price_call_closed), "K", "strike", "positive", 15),
-    "price_put-t": (_quote(lv.price_put), "t", "time", "positive", 1),
-    "price_put-K": (_quote(lv.price_put), "K", "strike", "positive", 15),
+    **{f"{price.__name__}-{name}": (_quote(price), name, message, kind, good)
+       for price in (lv.price_call_closed, lv.price_put)
+       for name, message, kind, good in (("t", "time", "positive", 1),
+                                         ("K", "strike", "positive", 15), ("x", "x", "spot", 15))},
     "price_butterfly_closed-t": (_butterfly, "t", "time", "positive", 1),
+    "price_butterfly_closed-x": (_butterfly, "x", "x", "spot", 15),
+    "price_quadrature-x": (lambda x: lv.price_quadrature(SPEC, 0.1, CALL, x, FINE_GRID),
+                           "x", "x", "spot", 15),
     **{f"ButterflyPayoff-{k}": (_butterfly, k, "strike", "positive", good)
        for k, good in (("k1", 14), ("k", 15), ("k2", 16))},
     "CallPayoff-strike": (lambda strike: lv.CallPayoff(strike)(GRID.nodes),
@@ -66,11 +101,12 @@ PARAMETERS = {
     "PutPayoff-strike": (lambda strike: lv.PutPayoff(strike)(GRID.nodes),
                          "strike", "strike", "positive", 5),
     "kernel_eval-t": (lambda t: lv.kernel_eval(SPEC, t, 15.0, 15.5), "t", "time", "positive", 1),
-    "kernel_eval-y": (lambda y: lv.kernel_eval(SPEC, 0.1, 15.0, y), "y", "y", "spot", None),
+    "kernel_eval-x": (lambda x: lv.kernel_eval(SPEC, 0.1, x, 15.5), "x", "x", "spot", 15),
+    "kernel_eval-y": (lambda y: lv.kernel_eval(SPEC, 0.1, 15.0, y), "y", "y", "spot", 16),
     "kernel_matrix-tau": (lambda tau: lv.kernel_matrix(SPEC, tau, GRID),
                           "tau", "time", "positive", 1),
-    "greeks-dx": (lambda dx: lv.greeks(lambda t, x: lv.price_call_closed(2, MODEL, t, 15.0, x),
-                                       0.1, 15.0, dx), "dx", "dx", "positive", 1),
+    "greeks-x": (_greeks, "x", "x", "spot", 15),
+    "greeks-dx": (_greeks, "dx", "dx", "positive", 1),
     "BootstrapConfig-t_total": (
         lambda t_total: lv.bootstrap_solve(lv.BootstrapConfig(SPEC, t_total, 10, GRID), CALL).values,
         "t_total", "t_total", "positive", 1),
@@ -84,14 +120,17 @@ PARAMETERS = {
         "times", "time", "positive", 1),
     **{f"{oracle.__name__}-{name}": (_bs(oracle), name, name, kind, good)
        for oracle in (lv.bs_exact, lv.bs_delta, lv.bs_gamma)
-       for name, kind, good in (("t", "positive", 1), ("K", "positive", 15), ("x", "spot", None),
+       for name, kind, good in (("t", "positive", 1), ("K", "positive", 15), ("x", "spot", 15),
                                 ("sigma", "positive", 1), ("r", "finite", 0))},
     **{f"bs_kernel-{name}": (_bs_kernel, name, name, kind, good)
-       for name, kind, good in (("t", "positive", 1), ("x", "positive", 15), ("y", "spot", None),
+       for name, kind, good in (("t", "positive", 1), ("x", "positive", 15), ("y", "spot", 16),
                                 ("sigma", "positive", 1), ("r", "finite", 0))},
     **{f"hagan_woodward_vol-{name}": (_hagan_woodward, name, name, kind, good)
-       for name, kind, good in (("t", "positive", 1), ("K", "positive", 15), ("s0", "spot", None),
+       for name, kind, good in (("t", "positive", 1), ("K", "positive", 15), ("s0", "spot", 15),
                                 ("sigma", "positive", 1), ("r", "finite", 0))},
+    "hagan_woodward_price-s0": (lambda s0: lv.hagan_woodward_price(0.1, 15.0, s0, 0.3, 0.5),
+                                "s0", "s0", "spot", 15),
+    # basepoint hands back the x or y it was given, so it has no integral row
     "basepoint-x": (lambda x: lv.basepoint(lv.BasepointRule.AT_X, x, 2.0), "x", "x", "spot", None),
     "basepoint-y": (lambda y: lv.basepoint(lv.BasepointRule.AT_X, 2.0, y), "y", "y", "spot", None),
     **{f"SpatialGrid-{name}": (_grid, name, name, "positive", good)
@@ -107,6 +146,9 @@ PARAMETERS = {
     "CEVModel-alpha": (
         lambda alpha: lv.price_call_closed(2, lv.CEVModel(0.3, alpha), 0.1, 15.0, 15.0),
         "alpha", "alpha", "positive", 1),
+    **{f"{name}.jet-z": (_jet(model), "z", "z", "spot", 15) for name, model in JET_MODELS.items()},
+    **{f"{cls.__name__}-{name}": (_curve(cls), name, name, "samples", None)
+       for cls in (lv.PriceCurve, lv.SampledPayoff) for name in ("x", "values")},
 }
 
 REJECTIONS = [pytest.param(fn, parameter, name, bad, id=f"{key}-{label}")
@@ -136,3 +178,43 @@ ACCEPTED = [pytest.param(fn, parameter, good, id=key)
 @pytest.mark.parametrize("fn, parameter, good", ACCEPTED)
 def test_a_python_or_numpy_number_is_its_float(fn, parameter, good, kind):
     assert _bits(fn(**{parameter: kind(good)})) == _bits(fn(**{parameter: float(good)}))
+
+
+SPOTS_ACCEPTED = [pytest.param(fn, parameter, good, id=key)
+                  for key, (fn, parameter, _, kind, good) in PARAMETERS.items()
+                  if kind == "spot" and good is not None]
+
+
+@pytest.mark.parametrize("shape", [(), (2,)], ids=["0-d", "1-d"])
+@pytest.mark.parametrize("fn, parameter, good", SPOTS_ACCEPTED)
+def test_an_int_array_of_spots_is_its_float64_array(fn, parameter, good, shape):
+    spots = np.full(shape, good) + np.arange(np.prod(shape, dtype=int)).reshape(shape)
+    assert spots.dtype.kind == "i"
+    assert _bits(fn(**{parameter: spots})) == _bits(fn(**{parameter: spots.astype(float)}))
+
+
+def test_samples_take_lists_of_numbers():
+    for cls in (lv.PriceCurve, lv.SampledPayoff):
+        assert _bits(_curve(cls)([1, 2], [0, 1])) == _bits(_curve(cls)())
+
+
+def _public_callables():
+    """lvkernel's public callables by name, and the jet of each concrete model."""
+    out = {name: getattr(lv, name) for name in lv.__all__ if callable(getattr(lv, name))}
+    out.update({f"{name}.jet": cls.jet for name, cls in list(out.items())
+                if isinstance(cls, type) and issubclass(cls, lv.Model)
+                and not inspect.isabstract(cls)})
+    return out
+
+
+def test_every_spot_parameter_has_a_row():
+    # a new x, y, z or s0 cannot skip the rule: it needs a row in PARAMETERS
+    missing = []
+    for name, fn in _public_callables().items():
+        try:
+            parameters = inspect.signature(fn).parameters
+        except ValueError:  # no signature to read
+            continue
+        missing += [f"{name}-{p}" for p in parameters
+                    if p in SPOT_NAMES and f"{name}-{p}" not in PARAMETERS]
+    assert missing == []

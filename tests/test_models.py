@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from lvkernel import (
     model_from_json,
     price_call_closed,
 )
-from lvkernel.models import _check_z
+from lvkernel.errors import _spots
 
 
 # scalar and array spots down to a subnormal one, and two times
@@ -160,9 +161,10 @@ class TestBasepoint:
     def test_rejects_nonfinite_points(self, rule, bad):
         # the point the rule does not read must be finite too
         ys = np.array([14.0, 15.0, 16.0])
-        with pytest.raises(DomainError, match="finite x > 0 and y > 0"):
+        message = f"^x must be positive and finite, got {bad}$"
+        with pytest.raises(DomainError, match=message):
             basepoint(rule, bad, ys)
-        with pytest.raises(DomainError, match="finite x > 0 and y > 0"):
+        with pytest.raises(DomainError, match=message):
             basepoint(rule, np.array([[15.0], [bad]]), ys[None, :])
 
 
@@ -264,19 +266,21 @@ class TestJetChecks:
         assert jet.validate() is jet
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -3.0])
-    def test_check_z_rejects_scalar(self, bad):
-        with pytest.raises(DomainError, match="basepoint z must be positive and finite"):
-            _check_z(bad)
-        with pytest.raises(DomainError):
+    def test_spots_rejects_a_scalar(self, bad):
+        message = rf"^z must be positive and finite, got {re.escape(str(bad))}$"
+        with pytest.raises(DomainError, match=message):
+            _spots("z", bad)
+        with pytest.raises(DomainError, match=message):
             CEVModel(sigma=0.3, alpha=0.5).jet(bad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -3.0])
-    def test_check_z_rejects_one_array_entry(self, bad):
+    def test_spots_rejects_one_array_entry(self, bad):
         z = np.linspace(1.0, 40.0, 64)
         z[41] = bad
-        with pytest.raises(DomainError, match="basepoint z must be positive and finite"):
-            _check_z(z)
-        with pytest.raises(DomainError):
+        message = rf"^z must be positive and finite, got {re.escape(str(bad))}$"
+        with pytest.raises(DomainError, match=message):
+            _spots("z", z)
+        with pytest.raises(DomainError, match=message):
             BSMModel(sigma=0.3).jet(z)
 
     @pytest.mark.parametrize("z", [1e-250, np.array([1e-250, 15.0])], ids=["scalar", "array"])
@@ -288,18 +292,19 @@ class TestJetChecks:
 
     @pytest.mark.parametrize("z", [True, np.True_, np.array([True, False])],
                              ids=["bool", "numpy-bool", "bool-array"])
-    def test_check_z_rejects_a_bool(self, z):
+    def test_spots_rejects_a_bool(self, z):
         # float() and np.asarray(dtype=float) read True as a basepoint of 1
-        with pytest.raises(DomainError, match="^basepoint z must be a number, not a bool$"):
-            _check_z(z)
-        with pytest.raises(DomainError, match="^basepoint z must be a number, not a bool$"):
+        message = rf"^z must be a number, got {re.escape(repr(z))}$"
+        with pytest.raises(DomainError, match=message):
+            _spots("z", z)
+        with pytest.raises(DomainError, match=message):
             BSMModel(sigma=0.3).jet(z)
 
-    def test_check_z_keeps_the_input_kind(self):
-        assert type(_check_z(3)) is float
-        assert type(_check_z(np.float64(3.0))) is float
-        assert type(_check_z(np.array(3.0))) is float
-        z = _check_z(np.array([1, 2, 3]))
+    def test_spots_keeps_the_input_kind(self):
+        assert type(_spots("z", 3)) is float
+        assert type(_spots("z", np.float64(3.0))) is float
+        assert type(_spots("z", np.array(3.0))) is float
+        z = _spots("z", np.array([1, 2, 3]))
         assert z.dtype == float and z.shape == (3,)
 
 
