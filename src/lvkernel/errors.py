@@ -48,7 +48,10 @@ def _is_int(value) -> bool:
 def _float(name: str, value) -> float:
     if not _is_real(value):
         raise DomainError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int past 2**1024
+        raise DomainError(f"{name} is too large for a float") from None
 
 
 def _finite(name: str, value) -> float:
@@ -73,14 +76,14 @@ def _spots(name: str, value):
         return float(value)
     if not isinstance(value, np.ndarray):
         return _positive(name, value)
-    a = np.asarray(_real_array(name, value), dtype=float)
+    a = _real_array(name, value)
     if a.size and not 0.0 < (lo := a.min()) <= (hi := a.max()) < math.inf:
         raise DomainError(f"{name} must be positive and finite, got {hi if lo > 0.0 else lo}")
     return a if a.ndim else float(a)
 
 
 def _real_array(name: str, value) -> np.ndarray:
-    """np.asarray(value), or DomainError naming it unless its dtype is real (not bool)."""
+    """value as a float64 ndarray, or DomainError naming it unless its dtype is real (not bool)."""
     if (a := np.asarray(value)).dtype.kind not in "iuf":
         raise DomainError(f"{name} must be a number, got {value!r}")
-    return a
+    return np.asarray(a, dtype=float)

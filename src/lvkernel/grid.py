@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, _finite, _positive, _real_array
+from .errors import DomainError, _finite, _is_int, _positive, _real_array
 
 __all__ = ["SpatialGrid", "PriceCurve", "simpson_weights"]
 
@@ -67,10 +67,9 @@ def simpson_weights(n_nodes: int, dx: float) -> np.ndarray:
     count the last three intervals are handled with the 3/8 rule so the whole
     rule stays fourth-order accurate.
     """
-    if n_nodes < 3:
-        raise DomainError("Simpson weights need at least 3 nodes")
-    if not 0.0 < dx < np.inf:
-        raise DomainError("dx must be positive")
+    if not (_is_int(n_nodes) and n_nodes >= 3):
+        raise DomainError(f"n_nodes must be an integer at least 3, got {n_nodes!r}")
+    dx = _positive("dx", dx)
     n_int = n_nodes - 1
     w = np.zeros(n_nodes)
     if n_int % 2 == 0:
@@ -96,8 +95,8 @@ class PriceCurve:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.asarray(_real_array("x", self.x), dtype=float)
-        v = np.asarray(_real_array("values", self.values), dtype=float)
+        x = _real_array("x", self.x)
+        v = _real_array("values", self.values)
         if x.ndim != 1 or v.shape != x.shape:
             raise DomainError("x and values must be 1-D arrays of equal length")
         if x.size < 1:
@@ -114,4 +113,4 @@ class PriceCurve:
 
     def value_at(self, x: float | np.ndarray) -> float | np.ndarray:
         """Linear interpolation between samples."""
-        return np.interp(x, self.x, self.values)
+        return np.interp(_real_array("x", x), self.x, self.values)

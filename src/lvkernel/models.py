@@ -24,7 +24,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DegenerateCoefficient, DomainError, _finite, _positive, _spots
+from .errors import DegenerateCoefficient, DomainError, _finite, _float, _positive, _spots
 
 __all__ = [
     "CoefficientJet",
@@ -240,10 +240,7 @@ def model_from_dict(obj: dict) -> Model:
     for k in sorted(keys):
         if isinstance(obj[k], bool) or not isinstance(obj[k], (int, float)):
             raise DomainError(f"model key {k!r} must be a number, got {json.dumps(obj[k])}")
-        try:
-            values[k] = float(obj[k])
-        except OverflowError:
-            raise DomainError(f"model key {k!r} is too large for a float") from None
+        values[k] = _float(f"model key {k!r}", obj[k])
     return classes[kind](**values)
 
 

@@ -154,13 +154,12 @@ def cn_solve(model: Model, config: CNConfig, payoff: Payoff) -> PriceCurve:
     Initial data is the payoff sampled on the grid.  Lower boundary: Dirichlet
     u(t, x_min) = h(x_min) exp(c(x_min) t) (zero for calls and butterflies).
     Upper boundary: zero second derivative, folded into the last interior row
-    so the system stays tridiagonal.
+    so the system stays tridiagonal for LAPACK's LU: factored once (dgttrf,
+    then dgttrs each step) where da_dt is 0 on every interior node, else
+    factored and solved each step (dgtsv, the two fused: the same bytes).
     """
-    # imported here, not at module level: they add about 0.1 s to every import
-    # of the package, and nothing else needs them
-    from scipy.linalg.lapack import dgtsv
-    from scipy.sparse import diags
-    from scipy.sparse.linalg import splu
+    # imported here: it would add about 0.2 s to every import of the package
+    from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
     xs = config.grid.nodes
     dx = config.grid.dx
@@ -191,17 +190,11 @@ def cn_solve(model: Model, config: CNConfig, payoff: Payoff) -> PriceCurve:
         diag[-1] = 1.0 - 0.5 * dt * (mid[-1] + 2.0 * hi[-1])
         return sub, diag, sup
 
-    # the bands at t_new of one step are the explicit bands of the next, and
-    # stay fixed when the coefficients do not depend on time
+    # the bands at t_new of one step are the explicit bands of the next
     bands = _operator_bands(jet, 0.0, dx, n - 2)
-    time_dep = model.is_time_dependent
-    if not time_dep:
-        sub, diag, sup = implicit(bands)
-        mat = diags([sub, diag, sup], offsets=[-1, 0, 1], shape=(n - 1, n - 1), format="csc")
-        try:
-            lu = splu(mat)
-        except RuntimeError as exc:
-            raise SingularMatrix(str(exc)) from exc
+    fixed = not np.any(jet.da_dt != 0.0)
+    if fixed:
+        *lu, info = dgttrf(*implicit(bands))
 
     for k in range(n_steps):
         t_new = (k + 1) * dt
@@ -213,14 +206,13 @@ def cn_solve(model: Model, config: CNConfig, payoff: Payoff) -> PriceCurve:
         step *= 0.5 * dt
         rhs[1:] += step
         rhs[0] = h0 * np.exp(c_left * t_new)
-        if time_dep:
-            bands = _operator_bands(jet, t_new, dx, n - 2)
-            sub, diag, sup = implicit(bands)
-            *_, sol, info = dgtsv(sub, diag, sup, rhs, True, True, True, True)
-            if info != 0:  # pragma: no cover
-                raise SingularMatrix(f"tridiagonal solve failed (info {info})")
+        if fixed:  # info stays dgttrf's: a zero pivot is what it reports
+            sol, _ = dgttrs(*lu, rhs, overwrite_b=True)
         else:
-            sol = lu.solve(rhs)
+            bands = _operator_bands(jet, t_new, dx, n - 2)
+            *_, sol, info = dgtsv(*implicit(bands), rhs, True, True, True, True)
+        if info != 0:
+            raise SingularMatrix(f"tridiagonal solve failed (info {info})")
         u[: n - 1] = sol
         u[n - 1] = 2.0 * u[n - 2] - u[n - 3]
 

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, GridTooCoarseWarning, _is_int, _positive, _spots
+from .errors import DomainError, GridTooCoarseWarning, _is_int, _positive, _real_array, _spots
 from .grid import PriceCurve, SpatialGrid, simpson_weights
 from .kernel import KernelSpec, _he_to_power, _hermite_coefficients, _kernel_rows
 from .models import ArrayLike, BasepointRule, CoefficientJet, Model
@@ -118,7 +118,7 @@ class CallPayoff(Payoff):
         _positive("strike", self.strike)
 
     def __call__(self, y: ArrayLike) -> ArrayLike:
-        return np.maximum(np.asarray(y, dtype=float) - self.strike, 0.0)
+        return np.maximum(_real_array("y", y) - self.strike, 0.0)
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ class PutPayoff(Payoff):
         _positive("strike", self.strike)
 
     def __call__(self, y: ArrayLike) -> ArrayLike:
-        return np.maximum(self.strike - np.asarray(y, dtype=float), 0.0)
+        return np.maximum(self.strike - _real_array("y", y), 0.0)
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ class ButterflyPayoff(Payoff):
         return 1.0, w2, w3
 
     def __call__(self, y: ArrayLike) -> ArrayLike:
-        y = np.asarray(y, dtype=float)
+        y = _real_array("y", y)
         w1, w2, w3 = self.call_weights
         return (
             w1 * np.maximum(y - self.k1, 0.0)

@@ -1,9 +1,10 @@
 """One rule for every scalar argument, in errors.py: each public scalar
-parameter rejects a bool, a string, None and a value out of its range with a
-DomainError that names it, and reads a Python or NumPy number as the equal
-float, to the bit.  A spot (x, y, z, s0) takes one more rule: a real ndarray
-reads as the equal float64 array, and a list, or an array with one entry out
-of (0, inf), is rejected too."""
+parameter rejects a bool, a string, None, an int too large for a float and a
+value out of its range with a DomainError that names it, and reads a Python or
+NumPy number as the equal float, to the bit.  A spot (x, y, z, s0) takes one
+more rule: a real ndarray reads as the equal float64 array, and a list, or an
+array with one entry out of (0, inf), is rejected too.  A curve's samples and
+the point a payoff or curve is read at take only the kind: real numbers."""
 
 import inspect
 
@@ -22,14 +23,17 @@ FINE_GRID = lv.SpatialGrid(1.0, 40.0, 0.05)
 NOT_NUMBERS = {"bool": True, "numpy-bool": np.True_, "str": "0.1", "none": None}
 NOT_FINITE = {"nan": float("nan"), "inf": float("inf")}
 NOT_POSITIVE = {"zero": 0, "negative": -1}
-# the values each kind of parameter rejects; a curve's samples may be any
-# real numbers, so only their kind is checked
+TOO_LARGE = {"huge-int": 10**400}  # float() of it raised a bare OverflowError
+# the values each kind of parameter rejects; a curve's samples, or the point a
+# payoff or curve is read at, may be any real numbers, so only their kind is
+# checked; a count is a Python or NumPy integer
 BAD = {
-    "positive": {**NOT_NUMBERS, **NOT_FINITE, **NOT_POSITIVE},
-    "finite": {**NOT_NUMBERS, **NOT_FINITE},
-    "spot": {**NOT_NUMBERS, **NOT_FINITE, **NOT_POSITIVE, "list": [15.0, 16.0],
+    "positive": {**NOT_NUMBERS, **NOT_FINITE, **NOT_POSITIVE, **TOO_LARGE},
+    "finite": {**NOT_NUMBERS, **NOT_FINITE, **TOO_LARGE},
+    "spot": {**NOT_NUMBERS, **NOT_FINITE, **NOT_POSITIVE, **TOO_LARGE, "list": [15.0, 16.0],
              "bad-entry": np.array([14.0, np.nan, 16.0])},
-    "samples": {**NOT_NUMBERS, "str-list": ["1", "2"], "bool-list": [False, True]},
+    "samples": {**NOT_NUMBERS, **TOO_LARGE, "str-list": ["1", "2"], "bool-list": [False, True]},
+    "count": {**NOT_NUMBERS, "float": 5.0, "numpy-float": np.float64(5.0), "too-few": 2},
 }
 SPOT_NAMES = ("x", "y", "z", "s0")
 
@@ -149,6 +153,14 @@ PARAMETERS = {
     **{f"{name}.jet-z": (_jet(model), "z", "z", "spot", 15) for name, model in JET_MODELS.items()},
     **{f"{cls.__name__}-{name}": (_curve(cls), name, name, "samples", None)
        for cls in (lv.PriceCurve, lv.SampledPayoff) for name in ("x", "values")},
+    **{f"{type(payoff).__name__}.__call__-y": (payoff, "y", "y", "samples", 16)
+       for payoff in (CALL, lv.PutPayoff(15.0), lv.ButterflyPayoff(14.0, 15.0, 16.0))},
+    "PriceCurve.value_at-x": (lv.PriceCurve((1.0, 2.0), (0.0, 1.0)).value_at,
+                              "x", "x", "samples", 2),
+    "SampledPayoff.__call__-x": (lv.SampledPayoff((1.0, 2.0), (0.0, 1.0)), "x", "x", "samples", 2),
+    "simpson_weights-n_nodes": (lambda n_nodes: lv.simpson_weights(n_nodes, 0.1),
+                                "n_nodes", "n_nodes", "count", None),
+    "simpson_weights-dx": (lambda dx: lv.simpson_weights(5, dx), "dx", "dx", "positive", 1),
 }
 
 REJECTIONS = [pytest.param(fn, parameter, name, bad, id=f"{key}-{label}")
@@ -196,6 +208,8 @@ def test_an_int_array_of_spots_is_its_float64_array(fn, parameter, good, shape):
 def test_samples_take_lists_of_numbers():
     for cls in (lv.PriceCurve, lv.SampledPayoff):
         assert _bits(_curve(cls)([1, 2], [0, 1])) == _bits(_curve(cls)())
+    for payoff in (CALL, lv.PutPayoff(15.0), lv.SampledPayoff((14.0, 16.0), (0.0, 1.0))):
+        assert _bits(payoff([14, 16])) == _bits(payoff(np.array([14.0, 16.0])))
 
 
 def _public_callables():

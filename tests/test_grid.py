@@ -48,7 +48,7 @@ class TestSimpsonWeights:
     @pytest.mark.parametrize("dx", [float("nan"), float("inf")])
     def test_nonfinite_spacing_rejected(self, dx):
         # both pass a "dx <= 0" check, to NaN or infinite weights
-        with pytest.raises(DomainError, match="^dx must be positive$"):
+        with pytest.raises(DomainError, match="^dx must be positive and finite, got"):
             simpson_weights(5, dx)
 
 

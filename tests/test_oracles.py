@@ -16,9 +16,11 @@ from lvkernel import (
     CallPayoff,
     CEVModel,
     CNConfig,
+    CoefficientJet,
     CustomModel,
     DomainError,
     PutPayoff,
+    SingularMatrix,
     SpatialGrid,
     TimeDependentBSMModel,
     bs_delta,
@@ -429,12 +431,24 @@ class TestCrankNicolson:
             assert 1.7 <= s <= 2.3, f"dx slopes {slopes}"
 
     def test_steps_from_the_jet_alone(self):
-        # a custom model that returns TD-BSM's jet steps as TD-BSM, bit for bit
-        model = TimeDependentBSMModel(sigma=0.3, sigma_dot0=0.2, r=0.1)
+        # cn_solve reads the jet alone: a custom model that returns a model's
+        # jet steps as that model, bit for bit
         config = CNConfig(SpatialGrid.regular(60.0, 0.01), dt=2.5e-3, t_total=0.5)
-        for payoff in (CallPayoff(15.0), PutPayoff(15.0)):
-            np.testing.assert_array_equal(cn_solve(CustomModel(model.jet), config, payoff).values,
-                                          cn_solve(model, config, payoff).values)
+        for model in (BSMModel(0.3, r=0.1), CEVModel(0.3, 2.0 / 3.0, r=0.1),
+                      TimeDependentBSMModel(sigma=0.3, sigma_dot0=0.2, r=0.1)):
+            for payoff in (CallPayoff(15.0), PutPayoff(15.0)):
+                np.testing.assert_array_equal(
+                    cn_solve(CustomModel(model.jet), config, payoff).values,
+                    cn_solve(model, config, payoff).values)
+
+    @pytest.mark.parametrize("da_dt", [0.0, 1e-200], ids=["factored-once", "per-step"])
+    def test_a_zero_pivot_is_a_singular_matrix(self, da_dt):
+        # every interior diagonal of I - dt/2 A is 1 - 0.5 * 0.5 * 4 = 0
+        model = CustomModel(lambda z: CoefficientJet(np.full_like(z, 1e-200), 0.0, 0.0,
+                                                     da_dt, 0.0, 0.0, 4.0))
+        config = CNConfig(SpatialGrid(1.0, 3.0, 0.5), dt=0.5, t_total=0.5)
+        with pytest.raises(SingularMatrix, match="tridiagonal solve failed"):
+            cn_solve(model, config, CallPayoff(2.0))
 
     def test_time_dependent_path_runs(self):
         from lvkernel import TimeDependentBSMModel
@@ -450,20 +464,24 @@ class TestCrankNicolson:
 
 
 def test_import_leaves_sparse_and_linalg_unloaded():
-    # cn_solve imports scipy.sparse and scipy.linalg when it runs, and Phi of an
-    # array past 1,024 elements scipy.special; importing the package or its CLI loads no SciPy.  The
-    # package's own modules load in a fixed order: one moved import once cost a
-    # fresh process about 3,400 more minor page faults and 50 ms of set-up.
+    # cn_solve imports scipy.linalg when it runs, and Phi of an array past
+    # 1,024 elements scipy.special; importing the package or its CLI loads no
+    # SciPy, and no run loads scipy.sparse.  The package's own modules load in
+    # a fixed order: one moved import once cost a fresh process about 3,400
+    # more minor page faults and 50 ms of set-up.
     scipy_modules = "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
     code = ("import sys, lvkernel; " + scipy_modules +
             "print([m for m in sys.modules if m.startswith('lvkernel')]); "
-            "import lvkernel.cli; " + scipy_modules)
+            "import lvkernel.cli; " + scipy_modules +
+            "lvkernel.cn_solve(lvkernel.BSMModel(0.3), lvkernel.CNConfig("
+            "lvkernel.SpatialGrid.regular(30.0, 0.5), 0.1, 0.5), lvkernel.CallPayoff(15.0)); "
+            "print([m for m in sys.modules if m.startswith('scipy.sparse')])")
     src = os.path.dirname(os.path.dirname(os.path.abspath(lvkernel.__file__)))
     env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    scipy_modules, own_modules, cli_scipy_modules = proc.stdout.splitlines()
-    assert scipy_modules == cli_scipy_modules == "[]"
+    scipy_modules, own_modules, cli_scipy_modules, sparse_modules = proc.stdout.splitlines()
+    assert scipy_modules == cli_scipy_modules == sparse_modules == "[]"
     assert own_modules == str([f"lvkernel.{m}" for m in (
         "errors", "grid", "models", "kernel", "pricing", "bootstrap", "oracles")] + ["lvkernel"])
