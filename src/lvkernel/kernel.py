@@ -20,6 +20,7 @@ over numpy arrays.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from math import factorial, pi, sqrt
 
@@ -187,8 +188,12 @@ def _weighted_block(spec: KernelSpec, t: float, x: np.ndarray, w: np.ndarray) ->
     serve the block, one per row (column), and each chunk of those nodes
     evaluates, in reused buffers, only the union of their live partners
     |x - y| <= sqrt(2 Q_MAX t) a (widened by 1e-9 of itself and by one node on
-    each side); the rest keep np.zeros' +0.0, the kernel's value there."""
-    mat = np.zeros((x.size, x.size))
+    each side); the rest keep the mapping's +0.0, the kernel's value there."""
+    # a mapping of its own, unmapped with the array: freed on the heap, a matrix
+    # stayed resident, and a small allocation in its chunk sent the next to fresh pages
+    buf = mmap.mmap(-1, 8 * x.size**2 or 1, flags=mmap.MAP_PRIVATE)
+    buf.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))  # as NumPy does
+    mat = np.frombuffer(buf, float, x.size**2).reshape(x.size, x.size)
     if spec.basepoint is BasepointRule.MIDPOINT:  # z moves along both axes: no band
         for rows, k in _kernel_rows(spec, t, x, x):
             np.multiply(k, w, out=mat[rows])
