@@ -273,7 +273,8 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv, load the model, run the subcommand and write its artifact.
-    Returns 2 on a usage, --out or model-loading error, 1 on a domain error."""
+    Returns 2 on a usage, --out or model-loading error, 1 on a domain error
+    or a result that does not fit in memory, each one line on stderr."""
     try:
         ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -293,7 +294,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (DomainError, DegenerateCoefficient) as exc:
+    except (DomainError, DegenerateCoefficient, MemoryError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
     return 0

@@ -1,6 +1,7 @@
 """Exception and warning types shared across the package, and the one rule for
 a scalar argument: a real number, not a bool, finite or positive as asked; a
-spot is a positive, finite real number or a real ndarray of them."""
+spot is a positive, finite real number or a real ndarray of them; a result is
+a float when every spot or point was given as a real number, else an ndarray."""
 
 import math
 
@@ -80,6 +81,11 @@ def _spots(name: str, value):
     if a.size and not 0.0 < (lo := a.min()) <= (hi := a.max()) < math.inf:
         raise DomainError(f"{name} must be positive and finite, got {hi if lo > 0.0 else lo}")
     return a if a.ndim else float(a)
+
+
+def _result(value, *given):
+    """value as a float if every spot or point, as given, is a real number; else as an ndarray."""
+    return float(value) if all(map(_is_real, given)) else np.asarray(value, dtype=float)
 
 
 def _real_array(name: str, value) -> np.ndarray:

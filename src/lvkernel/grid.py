@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, _finite, _is_int, _positive, _real_array
+from .errors import DomainError, _finite, _is_int, _positive, _real_array, _result
 
 __all__ = ["SpatialGrid", "PriceCurve", "simpson_weights"]
 
@@ -40,6 +40,7 @@ class SpatialGrid:
     @classmethod
     def regular(cls, x_max: float, dx: float) -> "SpatialGrid":
         """Grid on (0, x_max] with the left cutoff set to one spacing above 0."""
+        _positive("dx", dx)  # before x_min, which is dx too: a bad dx is named dx
         return cls(dx, x_max, dx)
 
     @property
@@ -113,4 +114,4 @@ class PriceCurve:
 
     def value_at(self, x: float | np.ndarray) -> float | np.ndarray:
         """Linear interpolation between samples."""
-        return np.interp(_real_array("x", x), self.x, self.values)
+        return _result(np.interp(_real_array("x", x), self.x, self.values), x)

@@ -20,13 +20,14 @@ over numpy arrays.
 
 from __future__ import annotations
 
+import errno
 import mmap
 from dataclasses import dataclass
 from math import factorial, pi, sqrt
 
 import numpy as np
 
-from .errors import DegenerateCoefficient, DomainError, _is_int, _positive
+from .errors import DegenerateCoefficient, DomainError, _is_int, _positive, _result
 from .models import ArrayLike, BasepointRule, CoefficientJet, Model, basepoint
 
 __all__ = ["KernelSpec", "kernel_eval"]
@@ -168,7 +169,7 @@ def kernel_eval(spec: KernelSpec, t: float, x: ArrayLike, y: ArrayLike) -> Array
         shape = np.broadcast(d, inv_var, *c).shape
         out = _gauss_poly(c, inv_var, d, np.empty(shape), np.empty(shape, bool), np.empty(shape))
     _check_finite(t, inv_var, out, *c)
-    return out[()] if out.ndim == 0 else out
+    return _result(out, x, y)
 
 
 def _kernel_rows(spec: KernelSpec, t: float, x: np.ndarray, y: np.ndarray):
@@ -191,7 +192,13 @@ def _weighted_block(spec: KernelSpec, t: float, x: np.ndarray, w: np.ndarray) ->
     each side); the rest keep the mapping's +0.0, the kernel's value there."""
     # a mapping of its own, unmapped with the array: freed on the heap, a matrix
     # stayed resident, and a small allocation in its chunk sent the next to fresh pages
-    buf = mmap.mmap(-1, 8 * x.size**2 or 1, flags=mmap.MAP_PRIVATE)
+    try:
+        buf = mmap.mmap(-1, 8 * x.size**2 or 1, flags=mmap.MAP_PRIVATE)
+    except OSError as exc:  # a MemoryError, as NumPy raises for an array it cannot allocate
+        if exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"Unable to allocate {8 * x.size**2 / 2**40:.3g} TiB for a kernel "
+                          f"matrix of shape ({x.size}, {x.size})") from None
     buf.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))  # as NumPy does
     mat = np.frombuffer(buf, float, x.size**2).reshape(x.size, x.size)
     if spec.basepoint is BasepointRule.MIDPOINT:  # z moves along both axes: no band

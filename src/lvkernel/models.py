@@ -24,7 +24,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DegenerateCoefficient, DomainError, _finite, _float, _positive, _spots
+from .errors import DegenerateCoefficient, DomainError, _finite, _float, _positive, _result, _spots
 
 __all__ = [
     "CoefficientJet",
@@ -95,11 +95,11 @@ def basepoint(rule: BasepointRule, x: ArrayLike, y: ArrayLike) -> ArrayLike:
     _spots("x", x)
     _spots("y", y)
     if rule is BasepointRule.AT_X:
-        return x
+        return _result(x, x, y)
     if rule is BasepointRule.AT_Y:
-        return y
+        return _result(y, x, y)
     if rule is BasepointRule.MIDPOINT:
-        return (np.asarray(x) + np.asarray(y)) / 2.0
+        return _result((np.asarray(x) + np.asarray(y)) / 2.0, x, y)
     raise DomainError(f"unknown basepoint rule {rule!r}")
 
 
@@ -116,6 +116,9 @@ class Model(ABC):
 
     @property
     def is_time_dependent(self) -> bool:
+        """Whether the model declares da_dt nonzero somewhere.  No package code
+        reads it: cn_solve reads da_dt from the jet.  CustomModel always
+        answers True, whatever its jet's da_dt."""
         return False
 
 

@@ -11,7 +11,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bootstrap import BootstrapConfig, bootstrap_solve
-from .errors import DomainError, SingularMatrix, _finite, _float, _is_real, _positive, _spots
+from .errors import DomainError, SingularMatrix, _finite, _float, _is_real, _positive, _result, _spots
 from .grid import PriceCurve, SpatialGrid
 from .kernel import KernelSpec
 from .models import ArrayLike, BSMModel, CEVModel, CoefficientJet, Model, TimeDependentBSMModel
@@ -51,19 +51,17 @@ def bs_exact(t: float, K: float, x: ArrayLike, sigma: float, r: float = 0.0) -> 
     """Exact Black-Scholes call price x N(d1) - K e^(-rt) N(d2)."""
     d1, d2 = _bs_d1_d2(t, K, x, sigma, r)
     v = np.asarray(x, dtype=float) * _norm_cdf(d1) - K * np.exp(-r * t) * _norm_cdf(d2)
-    return float(v) if not isinstance(x, np.ndarray) else v
+    return _result(v, x)
 
 
 def bs_delta(t: float, K: float, x: ArrayLike, sigma: float, r: float = 0.0) -> ArrayLike:
     d1, _ = _bs_d1_d2(t, K, x, sigma, r)
-    v = _norm_cdf(d1)
-    return float(v) if not isinstance(x, np.ndarray) else v
+    return _result(_norm_cdf(d1), x)
 
 
 def bs_gamma(t: float, K: float, x: ArrayLike, sigma: float, r: float = 0.0) -> ArrayLike:
     d1, _ = _bs_d1_d2(t, K, x, sigma, r)
-    v = _norm_pdf(d1) / (np.asarray(x, dtype=float) * sigma * np.sqrt(t))
-    return float(v) if not isinstance(x, np.ndarray) else v
+    return _result(_norm_pdf(d1) / (np.asarray(x, dtype=float) * sigma * np.sqrt(t)), x)
 
 
 def bs_kernel(t: float, x: float, y: ArrayLike, sigma: float, r: float = 0.0) -> ArrayLike:
@@ -76,7 +74,7 @@ def bs_kernel(t: float, x: float, y: ArrayLike, sigma: float, r: float = 0.0) ->
     ya = _spots("y", y)
     s2t = sigma * sigma * t
     arg = (np.log(x / ya) + (r - 0.5 * sigma * sigma) * t) ** 2 / (2.0 * s2t)
-    return np.exp(-r * t) / (ya * np.sqrt(2.0 * np.pi * s2t)) * np.exp(-arg)
+    return _result(np.exp(-r * t) / (ya * np.sqrt(2.0 * np.pi * s2t)) * np.exp(-arg), y)
 
 
 def hagan_woodward_vol(t: float, K: float, s0: ArrayLike, sigma: float, beta: float,
@@ -103,7 +101,7 @@ def hagan_woodward_vol(t: float, K: float, s0: ArrayLike, sigma: float, beta: fl
         + omb * (2.0 + beta) / 24.0 * ((fwd - K) / f) ** 2
         + omb * omb * a * a * t / (24.0 * f ** (2.0 * omb))
     )
-    return float(vol) if not isinstance(s0, np.ndarray) else vol
+    return _result(vol, s0)
 
 
 def hagan_woodward_price(t: float, K: float, s0: ArrayLike, sigma: float, beta: float,

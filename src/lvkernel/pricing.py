@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, GridTooCoarseWarning, _is_int, _positive, _real_array, _spots
+from .errors import DomainError, GridTooCoarseWarning, _is_int, _positive, _real_array, _result, _spots
 from .grid import PriceCurve, SpatialGrid, simpson_weights
 from .kernel import KernelSpec, _he_to_power, _hermite_coefficients, _kernel_rows
 from .models import ArrayLike, BasepointRule, CoefficientJet, Model
@@ -118,7 +118,7 @@ class CallPayoff(Payoff):
         _positive("strike", self.strike)
 
     def __call__(self, y: ArrayLike) -> ArrayLike:
-        return np.maximum(_real_array("y", y) - self.strike, 0.0)
+        return _result(np.maximum(_real_array("y", y) - self.strike, 0.0), y)
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ class PutPayoff(Payoff):
         _positive("strike", self.strike)
 
     def __call__(self, y: ArrayLike) -> ArrayLike:
-        return np.maximum(self.strike - _real_array("y", y), 0.0)
+        return _result(np.maximum(self.strike - _real_array("y", y), 0.0), y)
 
 
 @dataclass(frozen=True)
@@ -154,13 +154,11 @@ class ButterflyPayoff(Payoff):
         return 1.0, w2, w3
 
     def __call__(self, y: ArrayLike) -> ArrayLike:
-        y = _real_array("y", y)
+        ya = _real_array("y", y)
         w1, w2, w3 = self.call_weights
-        return (
-            w1 * np.maximum(y - self.k1, 0.0)
-            - w2 * np.maximum(y - self.k, 0.0)
-            + w3 * np.maximum(y - self.k2, 0.0)
-        )
+        hat = (w1 * np.maximum(ya - self.k1, 0.0) - w2 * np.maximum(ya - self.k, 0.0)
+               + w3 * np.maximum(ya - self.k2, 0.0))
+        return _result(hat, y)
 
 
 class SampledPayoff(PriceCurve, Payoff):
@@ -228,7 +226,7 @@ def _closed(order: int, model: Model, t: float, payoff: Payoff, x: ArrayLike,
             rule: BasepointRule = BasepointRule.AT_X) -> ArrayLike:
     """The one body of every closed form, past _why_no_closed_form: the payoff's
     calls from one jet at z = x, less the forward for a put, three weighted calls
-    for a butterfly; a Python float for a scalar spot.  The jet dies with _calls,
+    for a butterfly; errors._result's float or ndarray.  The jet dies with _calls,
     before the butterfly's calls combine; only the put keeps it, for the forward."""
     if (reason := _why_no_closed_form(order, payoff, rule)) is not None:
         raise DomainError(reason)
@@ -243,7 +241,7 @@ def _closed(order: int, model: Model, t: float, payoff: Payoff, x: ArrayLike,
         value = _calls(order, jet, t, (K,), xs)[0] - _forward(order, jet, t, xs - K)
     else:
         value = _calls(order, model.jet(xs), t, (payoff.strike,), xs)[0]
-    return value if isinstance(x, np.ndarray) else float(value)
+    return _result(value, x)
 
 
 def price_call_closed(order: int, model: Model, t: float, K: float, x: ArrayLike) -> ArrayLike:
@@ -321,7 +319,7 @@ def _quadrature(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike,
         warnings.warn(f"a kernel reaches past the grid [{grid.x_min:g}, {grid.x_max:g}], where "
                       "the payoff is not 0: quadrature drops the payoff beyond",
                       GridTooCoarseWarning, stacklevel=3)
-    return vals.reshape(x.shape) if isinstance(x, np.ndarray) else float(vals[0])
+    return _result(vals.reshape(np.shape(x)), x)
 
 
 def _past_ends(grid: SpatialGrid, x: np.ndarray, width: np.ndarray):
@@ -350,15 +348,14 @@ def greeks(price_fn: Callable[[float, ArrayLike], ArrayLike], t: float, x: Array
     delta = (u(t, x+dx) - u(t, x-dx)) / (2 dx)
     gamma = (u(t, x+dx) + u(t, x-dx) - 2 u(t, x)) / dx^2
     """
-    dx, x = _positive("dx", dx), _spots("x", x)
-    if np.any(x - dx <= 0.0):
+    dx, xs = _positive("dx", dx), _spots("x", x)
+    if np.any(xs - dx <= 0.0):
         raise DomainError("greeks need x - dx > 0")
-    up = price_fn(t, x + dx)
-    dn = price_fn(t, x - dx)
-    mid = price_fn(t, x)
-    delta = (np.asarray(up) - np.asarray(dn)) / (2.0 * dx)
-    gamma = (np.asarray(up) + np.asarray(dn) - 2.0 * np.asarray(mid)) / dx**2
-    return delta, gamma
+    # each price by the result rule: a scalar spot differences Python floats
+    up = _result(price_fn(t, xs + dx), x)
+    dn = _result(price_fn(t, xs - dx), x)
+    mid = _result(price_fn(t, xs), x)
+    return _result((up - dn) / (2.0 * dx), x), _result((up + dn - 2.0 * mid) / dx**2, x)
 
 
 def curve_greeks(curve: PriceCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 """Sub-step composition of the approximate kernel: the dense propagation
 matrix, the composed solve, and its long-maturity error behavior."""
 
+import errno
 import os
 import re
 import tracemalloc
@@ -128,6 +129,23 @@ class TestKernelMatrix:
         monkeypatch.setattr("lvkernel.kernel._MID_ENTRIES", rows * grid.n_nodes)
         chunked, chunked_mass = kernel_matrix(spec, 0.1, grid)
         assert chunked.tobytes() == full.tobytes() and chunked_mass.tobytes() == mass.tobytes()
+
+    @pytest.mark.parametrize("rule", list(BasepointRule))
+    def test_a_matrix_the_memory_cannot_hold_is_a_memory_error(self, rule, monkeypatch):
+        # the mapping's ENOMEM was a bare OSError; np.zeros raised MemoryError
+        def mapping(code):
+            def refuse(*args, **kwargs):
+                raise OSError(code, os.strerror(code))
+            return refuse
+        spec, grid = KernelSpec(MODEL, 2, rule), SpatialGrid.regular(10.0, 0.5)
+        monkeypatch.setattr("lvkernel.kernel.mmap.mmap", mapping(errno.ENOMEM))
+        with pytest.raises(MemoryError, match=r"^Unable to allocate 2\.91e-09 TiB for a kernel "
+                                              r"matrix of shape \(20, 20\)$"):
+            kernel_matrix(spec, 0.05, grid)
+        monkeypatch.setattr("lvkernel.kernel.mmap.mmap", mapping(errno.EINVAL))
+        with pytest.raises(OSError) as info:  # any other failure is the mapping's own
+            kernel_matrix(spec, 0.05, grid)
+        assert info.value.errno == errno.EINVAL
 
     @pytest.mark.parametrize("rule", list(BasepointRule))
     def test_matrix_is_c_contiguous(self, rule):

@@ -1,6 +1,7 @@
 """Command-line interface: flag validation, exit codes, CSV schemas, and
 artifact determinism."""
 
+import errno
 import os
 import subprocess
 import sys
@@ -142,6 +143,16 @@ class TestPriceCommand:
         rc = main(["price", "--model", BSM_JSON, "--order", "2", "--t", "1e308",
                    "--payoff", "call", "--strike", "15", "--spot", "16", "--out", str(out)])
         assert (rc, *capsys.readouterr()) == (1, "", "the result is not finite: inf\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_grid_the_memory_cannot_hold_is_a_one_line_failure(self, capsys, tmp_path):
+        # 1e15 nodes: NumPy refuses the array before it allocates any of it
+        out = tmp_path / "price.csv"
+        rc = main(["price", "--model", BSM_JSON, "--order", "2", "--t", "0.1", "--payoff", "call",
+                   "--strike", "15", "--grid", "1:1e12:1e-3", "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert (rc, stdout) == (1, "") and err.startswith("Unable to allocate ")
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("grid", ["1:2", "a:b:c", "0:10:1"])
@@ -386,6 +397,23 @@ class TestBootstrapCommand:
         assert main(["price", "--model", BSM_JSON, "--order", "2", "--t", "0.2",
                      "--payoff", "call", "--strike", "15", "--grid", "0.3:20:0.3"]) == 2
         assert capsys.readouterr() == ("", err)
+
+    def test_zero_dx_names_dx(self, capsys):
+        # regular(xmax, 0) named x_min, a flag bootstrap does not have
+        rc = main(["bootstrap", "--model", BSM_JSON, "--t", "0.2", "--steps", "2", "--xmax", "20",
+                   "--dx", "0", "--payoff", "call", "--strike", "15",
+                   "--compare-oracle", "bs-exact"])
+        assert (rc, *capsys.readouterr()) == (2, "", "dx must be positive and finite, got 0.0\n")
+
+    def test_a_matrix_the_memory_cannot_hold_is_a_one_line_failure(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+        monkeypatch.setattr("lvkernel.kernel.mmap.mmap", refuse)
+        rc = main(["bootstrap", "--model", BSM_JSON, "--t", "0.2", "--steps", "2", "--xmax", "20",
+                   "--dx", "0.5", "--payoff", "call", "--strike", "15",
+                   "--compare-oracle", "bs-exact"])
+        assert (rc, *capsys.readouterr()) == (
+            1, "", "Unable to allocate 1.16e-08 TiB for a kernel matrix of shape (40, 40)\n")
 
 
     def test_library_warning_is_one_line(self, capsys):

@@ -4,7 +4,8 @@ value out of its range with a DomainError that names it, and reads a Python or
 NumPy number as the equal float, to the bit.  A spot (x, y, z, s0) takes one
 more rule: a real ndarray reads as the equal float64 array, and a list, or an
 array with one entry out of (0, inf), is rejected too.  A curve's samples and
-the point a payoff or curve is read at take only the kind: real numbers."""
+the point a payoff or curve is read at take only the kind: real numbers.  A
+result takes one rule as well: a float for numbers in, else a float64 ndarray."""
 
 import inspect
 
@@ -134,11 +135,16 @@ PARAMETERS = {
                                 ("sigma", "positive", 1), ("r", "finite", 0))},
     "hagan_woodward_price-s0": (lambda s0: lv.hagan_woodward_price(0.1, 15.0, s0, 0.3, 0.5),
                                 "s0", "s0", "spot", 15),
-    # basepoint hands back the x or y it was given, so it has no integral row
-    "basepoint-x": (lambda x: lv.basepoint(lv.BasepointRule.AT_X, x, 2.0), "x", "x", "spot", None),
-    "basepoint-y": (lambda y: lv.basepoint(lv.BasepointRule.AT_X, 2.0, y), "y", "y", "spot", None),
+    # basepoint hands back the x or y it was given as a float or a float64 array
+    "basepoint-x": (lambda x: lv.basepoint(lv.BasepointRule.AT_X, x, 2.0), "x", "x", "spot", 15),
+    "basepoint-y": (lambda y: lv.basepoint(lv.BasepointRule.AT_Y, 2.0, y), "y", "y", "spot", 16),
     **{f"SpatialGrid-{name}": (_grid, name, name, "positive", good)
        for name, good in (("x_min", 1), ("x_max", 9), ("dx", 1))},
+    # regular's x_min is its dx: dx is checked first, so a message names dx
+    "SpatialGrid.regular-dx": (lambda dx: lv.SpatialGrid.regular(9.0, dx).nodes,
+                               "dx", "dx", "positive", 1),
+    "SpatialGrid.regular-x_max": (lambda x_max: lv.SpatialGrid.regular(x_max, 1.0).nodes,
+                                  "x_max", "x_max", "finite", 9),
     "BSMModel-sigma": (lambda sigma: lv.price_call_closed(2, lv.BSMModel(sigma), 0.1, 15.0, 15.0),
                        "sigma", "sigma", "positive", 1),
     "BSMModel-r": (lambda r: lv.price_call_closed(2, lv.BSMModel(0.3, r), 0.1, 15.0, 15.0),
@@ -232,3 +238,63 @@ def test_every_spot_parameter_has_a_row():
         missing += [f"{name}-{p}" for p in parameters
                     if p in SPOT_NAMES and f"{name}-{p}" not in PARAMETERS]
     assert missing == []
+
+
+# One rule for every result, in errors.py: a public function whose spot or
+# point arguments are all real numbers, as given, returns a Python float;
+# otherwise a float64 ndarray, of the shape its arguments broadcast to, a 0-d
+# one for a 0-d array.  Each row varies one spot or point; any other is a float.
+RESULTS = {  # the public callable and its parameter: (function of it, an integral good value)
+    **{f"{price.__name__}-x": (lambda x, price=price: _quote(price)(x=x), 15)
+       for price in (lv.price_call_closed, lv.price_put)},
+    "price_butterfly_closed-x": (lambda x: _butterfly(x=x), 15),
+    "price_quadrature-x": (lambda x: lv.price_quadrature(SPEC, 0.1, CALL, x, FINE_GRID), 15),
+    "kernel_eval-x": (lambda x: lv.kernel_eval(SPEC, 0.1, x, 15.5), 15),
+    "kernel_eval-y": (lambda y: lv.kernel_eval(SPEC, 0.1, 15.0, y), 16),
+    "basepoint-x": (lambda x: lv.basepoint(lv.BasepointRule.MIDPOINT, x, 2.0), 15),
+    "basepoint-y": (lambda y: lv.basepoint(lv.BasepointRule.MIDPOINT, 2.0, y), 16),
+    **{f"{oracle.__name__}-x": (lambda x, oracle=oracle: _bs(oracle)(x=x), 15)
+       for oracle in (lv.bs_exact, lv.bs_delta, lv.bs_gamma)},
+    "bs_kernel-y": (lambda y: _bs_kernel(y=y), 16),
+    "hagan_woodward_vol-s0": (lambda s0: _hagan_woodward(s0=s0), 15),
+    "hagan_woodward_price-s0": (lambda s0: lv.hagan_woodward_price(0.1, 15.0, s0, 0.3, 0.5), 15),
+    "greeks-x": (lambda x: _greeks(x=x), 15),
+    **{f"{type(payoff).__name__}.__call__-y": (payoff, 16)
+       for payoff in (CALL, lv.PutPayoff(15.0), lv.ButterflyPayoff(14.0, 15.0, 16.0))},
+    "PriceCurve.value_at-x": (lv.PriceCurve((1.0, 2.0), (0.0, 1.0)).value_at, 2),
+    "SampledPayoff.__call__-x": (lv.SampledPayoff((1.0, 2.0), (0.0, 1.0)), 2),
+}
+POINTS = ("__call__-y", "value_at-x", "__call__-x")  # a point may also be a list
+INPUT_KINDS = {  # (the input built from the good value, the shape of an ndarray result or None)
+    "float": (float, None),
+    "int": (int, None),
+    "np.float64": (np.float64, None),
+    "np.int64": (np.int64, None),
+    "0-d": (lambda g: np.array(float(g)), ()),
+    "1-d": (lambda g: np.array([g, g + 1.0]), (2,)),
+    "2-d": (lambda g: np.array([[g, g + 1.0], [g + 1.0, g]]), (2, 2)),
+    "empty": (lambda g: np.empty(0), (0,)),
+    "list": (lambda g: [g, g + 1], (2,)),
+}
+RESULT_CELLS = [pytest.param(fn, INPUT_KINDS[kind][0](good), INPUT_KINDS[kind][1],
+                             id=f"{key}-{kind}")
+                for key, (fn, good) in RESULTS.items() for kind in INPUT_KINDS
+                if kind != "list" or key.endswith(POINTS)]
+
+
+@pytest.mark.parametrize("fn, given, shape", RESULT_CELLS)
+def test_a_number_in_is_a_float_out_an_ndarray_in_an_ndarray_out(fn, given, shape):
+    result = fn(given)
+    for value in result if isinstance(result, tuple) else (result,):
+        if shape is None:
+            assert type(value) is float
+        else:
+            assert type(value) is np.ndarray and value.dtype == np.float64
+            assert value.shape == shape
+
+
+def test_every_spot_or_point_parameter_has_a_result_row():
+    # a spot or point in PARAMETERS cannot skip the result rule; a jet returns a CoefficientJet
+    rows = {key for key, (*_, kind, _) in PARAMETERS.items()
+            if kind == "spot" and ".jet-" not in key or key.endswith(POINTS)}
+    assert rows == set(RESULTS) and len(RESULT_CELLS) == 165

@@ -145,9 +145,13 @@ class TestExactLognormal:
         np.testing.assert_allclose(bs_gamma(t, K, xs, sigma, r), fd_gamma, rtol=1e-4)
 
     def test_scalar_and_array_returns(self):
-        assert isinstance(bs_exact(0.1, 15.0, 15.0, 0.3), float)
-        out = bs_exact(0.1, 15.0, np.array([14.0, 16.0]), 0.3)
-        assert isinstance(out, np.ndarray) and out.shape == (2,)
+        for oracle in (bs_exact, bs_delta, bs_gamma):
+            assert type(oracle(0.1, 15.0, 15.0, 0.3)) is float
+            out = oracle(0.1, 15.0, np.array([14.0, 16.0]), 0.3)
+            assert isinstance(out, np.ndarray) and out.shape == (2,)
+            zero_d = oracle(0.1, 15.0, np.array(15.0), 0.3)
+            assert type(zero_d) is np.ndarray and zero_d.shape == ()
+            assert zero_d.tobytes() == np.float64(oracle(0.1, 15.0, 15.0, 0.3)).tobytes()
 
 
 class TestLognormalKernel:

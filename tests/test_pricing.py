@@ -350,7 +350,7 @@ class TestClosedFormIdentities:
             price = price_call_closed if isinstance(payoff, CallPayoff) else price_put
             return price(order, model, t, payoff.strike, x)
 
-        for x, kind in ((16.25, float), (grid.nodes, np.ndarray)):
+        for x, kind in ((16.25, float), (np.array(16.25), np.ndarray), (grid.nodes, np.ndarray)):
             want, got = public(x), _closed(spec.order, spec.model, t, payoff, x, spec.basepoint)
             assert type(want) is kind and type(got) is kind
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
@@ -448,7 +448,7 @@ class TestClosedFormIsKernelMoment:
 
 class TestQuadrature:
     def test_spot_kinds_follow_the_closed_forms(self):
-        # an ndarray in, an ndarray out, empty or not; a number in, a float out
+        # an ndarray in, an ndarray out, empty, 0-d or not; a number in, a float out
         model = BSMModel(sigma=0.3, r=0.1)
         spec, grid = KernelSpec(model, order=2), SpatialGrid(1.0, 40.0, 0.05)
         quadrature = lambda t, x: price_quadrature(spec, t, CallPayoff(15.0), x, grid)
@@ -456,8 +456,12 @@ class TestQuadrature:
             with pytest.raises(DomainError, match=r"^x must be a number, got \[15\.0, 16\.0\]$"):
                 price(0.1, [15.0, 16.0])
             assert type(price(0.1, 15.0)) is float
-            empty = price(0.1, np.array([]))
+            empty, zero_d = price(0.1, np.array([])), price(0.1, np.array(15.0))
             assert type(empty) is np.ndarray and empty.shape == (0,)
+            assert type(zero_d) is np.ndarray and zero_d.shape == ()
+            assert zero_d.tobytes() == np.float64(price(0.1, 15.0)).tobytes()
+            assert all(type(g) is float for g in greeks(price, 0.1, 15.0, 0.01))
+            assert all(g.shape == () for g in greeks(price, 0.1, np.array(15.0), 0.01))
         with pytest.raises(DomainError, match=r"^x must be a number, got \[15\.0, 16\.0\]$"):
             greeks(quadrature, 0.1, [15.0, 16.0], 0.01)
         _, gamma = greeks(quadrature, 0.1, np.array([15.0, 16.0]), 0.01)
@@ -566,7 +570,7 @@ class TestQuadrature:
         spec = KernelSpec(model, order=1)
         grid = SpatialGrid.regular(40.0, 0.05)
         scalar = price_quadrature(spec, 0.1, CallPayoff(15.0), 15.0, grid)
-        assert isinstance(scalar, float)
+        assert type(scalar) is float
         arr = price_quadrature(spec, 0.1, CallPayoff(15.0), np.array([14.0, 15.0]), grid)
         assert isinstance(arr, np.ndarray) and arr.shape == (2,)
 
