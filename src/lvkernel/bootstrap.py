@@ -63,7 +63,8 @@ def kernel_matrix(spec: KernelSpec, tau: float,
     return mat, mat.sum(axis=1)
 
 
-def _mass_check(config: BootstrapConfig, mat: np.ndarray, mass: np.ndarray) -> None:
+def _mass_check(config: BootstrapConfig, mat: np.ndarray, mass: np.ndarray, u: np.ndarray,
+                hops: int) -> None:
     """Warn when quadrature fails to resolve the kernel on usable nodes, and
     run the drift test of bootstrap_solve on the same jet of the nodes, last.
 
@@ -78,9 +79,9 @@ def _mass_check(config: BootstrapConfig, mat: np.ndarray, mass: np.ndarray) -> N
     that tail up to 40-fold; a defect comes from the spacing or from series
     terms whose tail still reaches past the grid, which no spacing removes.
     Unresolvable rows near the left cutoff are expected for vanishing-at-zero
-    diffusions and go unchecked, although a put carries payoff mass there and
-    its composed price can blow up unreported (ROADMAP.md item 2: integrate
-    those rows exactly).
+    diffusions and go unchecked; a curve u not negligible on one (a put's) warns
+    over two or more matrix hops when some row resolves (ROADMAP.md item 2),
+    and so does a jet whose da_dt is not 0, frozen at t = 0 here (item 1).
     """
     spec, tau, grid = config.spec, config.tau, config.grid
     xs = grid.nodes
@@ -108,6 +109,14 @@ def _mass_check(config: BootstrapConfig, mat: np.ndarray, mass: np.ndarray) -> N
                 GridTooCoarseWarning,
                 stacklevel=3,
             )
+    mass_in = np.abs(u) > 1e-6 * (1.0 + np.max(np.abs(u)))
+    if hops >= 2 and np.any(gated) and np.any(mass_in & (width < 2.0 * grid.dx)):
+        warnings.warn("the payoff has mass on rows narrower than two grid steps, near the left "
+                      "cutoff: composed prices there can grow without bound",
+                      GridTooCoarseWarning, stacklevel=3)
+    if hops >= 2 and np.any(jet.da_dt != 0.0):
+        warnings.warn("the composition freezes a(t, x) at t = 0: its prices miss the model's "
+                      "time dependence", stacklevel=3)
     if config.n_steps >= 2 and spec.order < 2 and (np.any(jet.b != 0.0) or np.any(jet.c != 0.0)):
         warnings.warn(f"an order-{spec.order} composition does not converge in the step "
                       "count when the model has drift (b or c not 0): use order 2",
@@ -121,8 +130,9 @@ def bootstrap_solve(config: BootstrapConfig, payoff: Payoff) -> PriceCurve:
     over one sub-step when one exists (call, put or butterfly, the at-x
     basepoint, order 1 or 2), which treats the payoff kink exactly, and
     otherwise a matrix hop of the payoff sampled at the nodes.  A matrix hop
-    is a quadrature convolution with the sub-step matrix, which is built and
-    mass-checked only when a hop needs it, so one closed-form step builds none.
+    is a quadrature convolution with the sub-step matrix, which is built only
+    when a hop needs it, so one closed-form step builds none, and checked after
+    the first hop, against the curve that enters the matrix hops.
     Orders 0 and 1 miss the drift's O(tau) terms, which n steps add up to an
     error that does not fall with n: composing them over two or more steps of
     a model whose b or c is not 0 on the grid warns, after the matrix check.
@@ -133,11 +143,12 @@ def bootstrap_solve(config: BootstrapConfig, payoff: Payoff) -> PriceCurve:
     hops = config.n_steps - 1 if closed else config.n_steps
     if hops:
         mat, mass = kernel_matrix(spec, config.tau, grid)
-        _mass_check(config, mat, mass)
     if closed:
         u = price_curve(spec, config.tau, payoff, grid, method="closed").values
     else:
         u = np.asarray(payoff(grid.nodes), dtype=float)
+    if hops:
+        _mass_check(config, mat, mass, u, hops)
     for _ in range(hops):
         u = mat @ u
     return PriceCurve(grid.nodes, u)

@@ -72,19 +72,15 @@ def simpson_weights(n_nodes: int, dx: float) -> np.ndarray:
         raise DomainError(f"n_nodes must be an integer at least 3, got {n_nodes!r}")
     dx = _positive("dx", dx)
     n_int = n_nodes - 1
+    head = n_int - 3 * (n_int % 2)  # Simpson's intervals: all of an even count, all but 3 of an odd
     w = np.zeros(n_nodes)
-    if n_int % 2 == 0:
-        w[0] = w[-1] = 1.0
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
+    if head:
+        w[0] = w[head] = 1.0
+        w[1:head:2] = 4.0
+        w[2:head:2] = 2.0
         w *= dx / 3.0
-        return w
-    if n_int == 3:
-        return dx * 3.0 / 8.0 * np.array([1.0, 3.0, 3.0, 1.0])
-    # odd count >= 5: Simpson on the first n_int - 3 intervals, 3/8 on the rest
-    head = n_int - 3
-    w[: head + 1] = simpson_weights(head + 1, dx)
-    w[head:] += dx * 3.0 / 8.0 * np.array([1.0, 3.0, 3.0, 1.0])
+    if head < n_int:
+        w[head:] += dx * 3.0 / 8.0 * np.array([1.0, 3.0, 3.0, 1.0])
     return w
 
 

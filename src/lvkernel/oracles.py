@@ -37,11 +37,7 @@ def _norm_pdf(x: ArrayLike) -> ArrayLike:
 
 def _bs_d1_d2(t: float, K: float, x: ArrayLike, sigma: ArrayLike, r: float):
     t, K, r = _positive("t", t), _positive("K", K), _finite("r", r)
-    if not isinstance(sigma, np.ndarray):
-        sigma = _positive("sigma", sigma)
-    elif not np.all((sigma > 0.0) & (sigma < np.inf)):  # from hagan_woodward_price
-        raise DomainError("sigma must be positive and finite")
-    xa = _spots("x", x)
+    sigma, xa = _spots("sigma", sigma), _spots("x", x)  # an ndarray sigma: hagan_woodward_price
     st = sigma * np.sqrt(t)
     d1 = (np.log(xa / K) + (r + 0.5 * sigma * sigma) * t) / st
     return d1, d1 - st
@@ -51,17 +47,17 @@ def bs_exact(t: float, K: float, x: ArrayLike, sigma: float, r: float = 0.0) -> 
     """Exact Black-Scholes call price x N(d1) - K e^(-rt) N(d2)."""
     d1, d2 = _bs_d1_d2(t, K, x, sigma, r)
     v = np.asarray(x, dtype=float) * _norm_cdf(d1) - K * np.exp(-r * t) * _norm_cdf(d2)
-    return _result(v, x)
+    return _result(v, x, sigma)
 
 
 def bs_delta(t: float, K: float, x: ArrayLike, sigma: float, r: float = 0.0) -> ArrayLike:
     d1, _ = _bs_d1_d2(t, K, x, sigma, r)
-    return _result(_norm_cdf(d1), x)
+    return _result(_norm_cdf(d1), x, sigma)
 
 
 def bs_gamma(t: float, K: float, x: ArrayLike, sigma: float, r: float = 0.0) -> ArrayLike:
     d1, _ = _bs_d1_d2(t, K, x, sigma, r)
-    return _result(_norm_pdf(d1) / (np.asarray(x, dtype=float) * sigma * np.sqrt(t)), x)
+    return _result(_norm_pdf(d1) / (np.asarray(x, dtype=float) * sigma * np.sqrt(t)), x, sigma)
 
 
 def bs_kernel(t: float, x: float, y: ArrayLike, sigma: float, r: float = 0.0) -> ArrayLike:

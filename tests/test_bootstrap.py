@@ -508,6 +508,43 @@ class TestMassDiagnostic:
             bootstrap_solve(config, CallPayoff(STRIKE))
 
 
+class TestKnownLimitsWarn:
+    """Until ROADMAP items 1 and 2 land, a composition of two or more matrix
+    hops says when it hits them: a jet whose da_dt is not 0 is frozen at
+    t = 0, and payoff mass on rows narrower than two grid steps, a put's near
+    the left cutoff, can grow without bound (1.89e5 for this BSM put)."""
+
+    MODELS = {"bsm": BSMModel(0.3, 0.1), "cev": CEVModel(0.3, 2.0 / 3.0, 0.1),
+              "tdbsm": TimeDependentBSMModel(0.3, 0.2, 0.1)}
+    PAYOFFS = {"call": CallPayoff(20.0), "put": PutPayoff(20.0),
+               "butterfly": ButterflyPayoff(18.0, 20.0, 22.0)}
+    FROZEN = (UserWarning, "the composition freezes a(t, x) at t = 0: its prices miss the "
+              "model's time dependence")
+    UNRESOLVED = (GridTooCoarseWarning, "the payoff has mass on rows narrower than two grid "
+                  "steps, near the left cutoff: composed prices there can grow without bound")
+
+    @pytest.mark.parametrize("model, payoff, n_steps, want", [
+        ("tdbsm", "call", 10, [FROZEN]),
+        ("bsm", "put", 10, [UNRESOLVED]),
+        ("cev", "put", 10, [UNRESOLVED]),
+        ("tdbsm", "put", 10, [UNRESOLVED, FROZEN]),
+        ("bsm", "call", 10, []),
+        ("cev", "call", 10, []),
+        ("bsm", "butterfly", 10, []),
+        # one matrix hop after the closed-form first one: neither limit compounds
+        ("tdbsm", "call", 2, []),
+        ("bsm", "put", 2, []),
+    ])
+    def test_warnings(self, model, payoff, n_steps, want):
+        config = BootstrapConfig(KernelSpec(self.MODELS[model]), 0.1 * n_steps, n_steps,
+                                 SpatialGrid.regular(200.0, 0.1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bootstrap_solve(config, self.PAYOFFS[payoff])
+        assert [(w.category, str(w.message), w.filename) for w in caught] == [
+            (*w, __file__) for w in want]
+
+
 class TestLongMaturityBehavior:
     def test_order_two_composition_beats_direct_at_t_one(self):
         grid = SpatialGrid.regular(200.0, 0.1)

@@ -432,6 +432,17 @@ class TestBootstrapCommand:
         assert capsys.readouterr() == (out, "")
         assert out.startswith("x,value,oracle,abs_error\n")
 
+    def test_a_put_on_unresolved_rows_warns(self, capsys):
+        # the 10-step put reads 1.89e5 at x = 0.2, where the sub-step kernel
+        # is narrower than two grid steps (ROADMAP.md item 2)
+        rc = main(["bootstrap", "--model", BSM_JSON, "--t", "1", "--steps", "10", "--xmax", "40",
+                   "--dx", "0.1", "--payoff", "put", "--strike", "20", "--compare-oracle", "cn"])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "warning: the payoff has mass on rows narrower than two grid "
+                                "steps, near the left cutoff: composed prices there can grow "
+                                "without bound\n")
+        assert out.startswith("x,value,oracle,abs_error\n")
+
 
 class TestCompareCommand:
     def test_order_one_error_table_entries(self, capsys):

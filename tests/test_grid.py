@@ -7,22 +7,24 @@ from lvkernel import DomainError, PriceCurve, SpatialGrid, simpson_weights
 
 
 class TestSimpsonWeights:
+    # the patterns hold bit for bit: each weight is one product, or one sum at a join
     def test_even_interval_pattern(self):
         w = simpson_weights(5, 0.5)
-        np.testing.assert_allclose(w, 0.5 / 3.0 * np.array([1, 4, 2, 4, 1]))
+        np.testing.assert_array_equal(w, 0.5 / 3.0 * np.array([1, 4, 2, 4, 1]))
 
     def test_three_interval_pattern(self):
         w = simpson_weights(4, 0.25)
-        np.testing.assert_allclose(w, 0.25 * 3.0 / 8.0 * np.array([1, 3, 3, 1]))
+        np.testing.assert_array_equal(w, 0.25 * 3.0 / 8.0 * np.array([1, 3, 3, 1]))
 
-    def test_odd_interval_count_mixes_rules(self):
-        w = simpson_weights(6, 1.0)
-        head = 1.0 / 3.0 * np.array([1, 4, 1])
-        tail = 3.0 / 8.0 * np.array([1, 3, 3, 1])
-        expect = np.zeros(6)
-        expect[:3] += head
-        expect[2:] += tail
-        np.testing.assert_allclose(w, expect)
+    @pytest.mark.parametrize("head", [2, 4, 6, 8])
+    def test_odd_interval_count_mixes_rules(self, head):
+        # Simpson on the first `head` intervals, the 3/8 rule on the last three
+        w = simpson_weights(head + 4, 1.0)
+        simpson = np.array([1.0, *[4.0, 2.0] * (head // 2 - 1), 4.0, 1.0])
+        expect = np.zeros(head + 4)
+        expect[: head + 1] += 1.0 / 3.0 * simpson
+        expect[head:] += 3.0 / 8.0 * np.array([1, 3, 3, 1])
+        np.testing.assert_array_equal(w, expect)
 
     @pytest.mark.parametrize("n_nodes", [3, 4, 5, 6, 7, 10, 11])
     def test_weight_sum_is_interval_length(self, n_nodes):

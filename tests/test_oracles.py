@@ -153,6 +153,20 @@ class TestExactLognormal:
             assert type(zero_d) is np.ndarray and zero_d.shape == ()
             assert zero_d.tobytes() == np.float64(oracle(0.1, 15.0, 15.0, 0.3)).tobytes()
 
+    @pytest.mark.parametrize("oracle", [bs_exact, bs_delta, bs_gamma])
+    @pytest.mark.parametrize("sigma", [np.array([True]), np.array(["0.3"])], ids=["bool", "str"])
+    def test_an_array_sigma_takes_the_spot_rule(self, oracle, sigma):
+        # a bool array priced at sigma = 1, and a str array raised a bare UFuncTypeError
+        with pytest.raises(DomainError, match=r"^sigma must be a number, got array\(\["):
+            oracle(0.1, 15.0, np.array([15.0]), sigma)
+
+    @pytest.mark.parametrize("oracle", [bs_exact, bs_delta, bs_gamma])
+    def test_an_array_sigma_at_one_spot_is_an_ndarray(self, oracle):
+        # the result rule reads sigma as well as x: this raised a bare TypeError
+        out = oracle(0.1, 15.0, 15.0, np.array([0.3, 0.4]))
+        assert type(out) is np.ndarray
+        assert out.tobytes() == np.array([oracle(0.1, 15.0, 15.0, s) for s in (0.3, 0.4)]).tobytes()
+
 
 class TestLognormalKernel:
     def test_mass_is_discount_factor(self):
