@@ -51,13 +51,10 @@ def kernel_matrix(spec: KernelSpec, tau: float,
 
     The row sums approximate the kernel's mass over y, its h_0 at z = x, and
     the coarseness diagnostic holds them to it; at z = y it holds the
-    columns' masses to theirs instead (_mass_check).  At z = x (z = y) the
-    coefficients are computed once per row (column), and the live band
-    |x_i - y_j| <= sqrt(2 * 50 tau) a(z), ten widths (kernel.Q_MAX), widened
-    by one node on each side, is the only part of the row (column)
-    evaluated: the entries outside it are +0.0 by definition.  The midpoint
-    is evaluated dense.  The matrix is C-ordered, as the bits of mat @ u
-    depend on the order.
+    columns' masses to theirs instead (_mass_check).  Only each chunk of rows'
+    live band, ten widths (kernel.Q_MAX) and one node on each side, is
+    evaluated at z = x and z = y, the midpoint dense.  The matrix is
+    C-ordered, as the bits of mat @ u depend on the order.
     """
     mat = _weighted_block(spec, tau, grid.nodes, grid.weights)
     return mat, mat.sum(axis=1)

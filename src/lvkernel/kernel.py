@@ -9,13 +9,11 @@ z: one per row at z = x, one per column at z = y, one per entry at the
 midpoint.  Evaluation sums the series in powers of d: one exp per entry and a
 Horner sum, in _gauss_poly, the one body of every evaluation.  The kernel is
 exactly +0.0 wherever q = d^2/(2 t a^2) > Q_MAX = 50, ten widths out, where
-exp(-q) < 2e-22 is below double precision of the peak.  A kernel matrix at
-z = x (z = y) computes the powers once per row (column), evaluates only each
-row's (column's) live band, q <= Q_MAX widened by one node on each side, and
-leaves the +0.0 outside it unevaluated; the midpoint's is evaluated dense,
-_MID_ENTRIES entries at a time.  The closed-form prices in pricing are the
-series' Gaussian moments.  All operations are pure functions and vectorize
-over numpy arrays.
+exp(-q) < 2e-22 is below double precision of the peak.  _kernel_blocks
+evaluates every block of a kernel matrix and of a quadrature: only the live
+band at z = x and z = y, dense at the midpoint.  The closed-form prices in
+pricing are the series' Gaussian moments.  All operations are pure functions
+and vectorize over numpy arrays.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ __all__ = ["KernelSpec", "kernel_eval"]
 # the kernel is exactly zero past q = Q_MAX, ten widths out, where exp(-q) = 1.9e-22
 # is below double precision of the peak: a live band a quarter as wide as exp's 745
 Q_MAX = 50.0
-# rows (columns of a z = y matrix) evaluated at once: bounds the block-sized temporaries
+# rows evaluated at once at z = x and z = y: bounds the block-sized temporaries
 _CHUNK_ROWS = 64
 # entries of a midpoint block, whose jet and coefficients are per entry: its
 # 24 block-sized temporaries re-fault the heap at 64 rows of 3,901 nodes
@@ -172,24 +170,47 @@ def kernel_eval(spec: KernelSpec, t: float, x: ArrayLike, y: ArrayLike) -> Array
     return _result(out, x, y)
 
 
-def _kernel_rows(spec: KernelSpec, t: float, x: np.ndarray, y: np.ndarray):
-    """The block kernel_eval(spec, t, x[:, None], y[None, :]) for 1-D x and y,
-    as (row slice, rows) pairs of _CHUNK_ROWS rows each, or at the midpoint of
-    as many rows as _MID_ENTRIES entries hold (at least one)."""
-    step = (max(_MID_ENTRIES // y.size, 1) if spec.basepoint is BasepointRule.MIDPOINT
-            else _CHUNK_ROWS)
-    for start in range(0, x.size, step):
-        rows = slice(start, min(start + step, x.size))
-        yield rows, kernel_eval(spec, t, x[rows, None], y[None, :])
+def _kernel_blocks(spec: KernelSpec, t: float, x: np.ndarray, y: np.ndarray):
+    """kernel_eval(spec, t, x[:, None], y[None, :]) bit for bit, for 1-D x and
+    increasing y, as (rows, cols, block): block is rows x cols, the rest of the
+    rows +0.0.  At z = x (z = y) one jet and one set of coefficients serve all
+    of x (y); each chunk of _CHUNK_ROWS rows evaluates, in buffers the next
+    reuses, only the cover of its live columns, q <= Q_MAX widened by 1e-9 and
+    by one node on each side.  Midpoint blocks are kernel_eval's, _MID_ENTRIES or a row."""
+    if spec.basepoint is BasepointRule.MIDPOINT:  # z moves along both axes: no band
+        step = max(_MID_ENTRIES // y.size, 1)
+        for start in range(0, x.size, step):
+            rows = slice(start, min(start + step, x.size))
+            yield rows, slice(0, y.size), kernel_eval(spec, t, x[rows, None], y[None, :])
+        return
+    kappa = _KAPPA[spec.basepoint]  # 0 at z = x, 1 at z = y
+    jet = spec.model.jet(own := y if kappa else x)
+    with np.errstate(all="ignore"):  # a kernel that is not finite raises below
+        c = [np.broadcast_to(ck, own.shape) for ck in _coefficients(jet, t, kappa, spec.order)]
+        inv_var = np.broadcast_to(np.divide(-0.5, t * jet.a * jet.a), own.shape)
+        _check_finite(t, inv_var, *c)
+        half = sqrt(2.0 * Q_MAX * t) * (1.0 + 1e-9) * jet.a
+    hx, hy = (0.0, half) if kappa else (half, 0.0)  # a row's (z = x) or a column's (z = y) reach
+    near, far = x - hx, x + hx  # a column's reach ends need not increase with y: their envelopes do
+    top, bottom = np.maximum.accumulate(y + hy), np.minimum.accumulate((y - hy)[::-1])[::-1]
+    buffers = [np.empty(min(x.size, _CHUNK_ROWS) * y.size, dt) for dt in (float, float, float, bool)]
+    for start in range(0, x.size, _CHUNK_ROWS):
+        rows = slice(start, min(start + _CHUNK_ROWS, x.size))
+        cols = slice(max(np.searchsorted(top, near[rows].min()) - 1, 0),
+                     min(np.searchsorted(bottom, far[rows].max(), side="right") + 1, y.size))
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        d, neg_q, out, dead = (b[:shape[0] * shape[1]].reshape(shape) for b in buffers)
+        idx = (None, cols) if kappa else (rows, None)
+        np.subtract(x[rows, None], y[None, cols], out=d)
+        with np.errstate(all="ignore"):
+            _gauss_poly([ck[idx] for ck in c], inv_var[idx], d, neg_q, dead, out)
+        _check_finite(t, out)
+        yield rows, cols, out
 
 
 def _weighted_block(spec: KernelSpec, t: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """kernel_eval(spec, t, x[:, None], x[None, :]) * w bit for bit, for
-    increasing nodes x.  At z = x (z = y) one jet and one set of coefficients
-    serve the block, one per row (column), and each chunk of those nodes
-    evaluates, in reused buffers, only the union of their live partners
-    |x - y| <= sqrt(2 Q_MAX t) a (widened by 1e-9 of itself and by one node on
-    each side); the rest keep the mapping's +0.0, the kernel's value there."""
+    """kernel_eval(spec, t, x[:, None], x[None, :]) * w bit for bit, for increasing
+    nodes x: each block of _kernel_blocks times its w, the mapping's +0.0 elsewhere."""
     # a mapping of its own, unmapped with the array: freed on the heap, a matrix
     # stayed resident, and a small allocation in its chunk sent the next to fresh pages
     try:
@@ -201,28 +222,6 @@ def _weighted_block(spec: KernelSpec, t: float, x: np.ndarray, w: np.ndarray) ->
                           f"matrix of shape ({x.size}, {x.size})") from None
     buf.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))  # as NumPy does
     mat = np.frombuffer(buf, float, x.size**2).reshape(x.size, x.size)
-    if spec.basepoint is BasepointRule.MIDPOINT:  # z moves along both axes: no band
-        for rows, k in _kernel_rows(spec, t, x, x):
-            np.multiply(k, w, out=mat[rows])
-        return mat
-    kappa = _KAPPA[spec.basepoint]  # 0 at z = x, 1 at z = y
-    jet = spec.model.jet(x)
-    with np.errstate(all="ignore"):  # a kernel that is not finite raises below
-        c = [np.broadcast_to(ck, x.shape) for ck in _coefficients(jet, t, kappa, spec.order)]
-        inv_var = np.broadcast_to(np.divide(-0.5, t * jet.a * jet.a), x.shape)
-        _check_finite(t, inv_var, *c)
-        half = sqrt(2.0 * Q_MAX * t) * (1.0 + 1e-9) * jet.a
-        lo, hi = np.searchsorted(x, x - half), np.searchsorted(x, x + half, side="right")
-        floats = np.empty((2, _CHUNK_ROWS * x.size))
-        mask = np.empty(floats.shape[1], bool)
-        for start in range(0, x.size, _CHUNK_ROWS):
-            own = slice(start, min(start + _CHUNK_ROWS, x.size))
-            live = slice(max(lo[own].min() - 1, 0), min(hi[own].max() + 1, x.size))
-            rows, cols, idx = (live, own, (None, own)) if kappa else (own, live, (own, None))
-            shape = (rows.stop - rows.start, cols.stop - cols.start)
-            d, neg_q, dead = (b[:shape[0] * shape[1]].reshape(shape) for b in (*floats, mask))
-            np.subtract(x[rows, None], x[None, cols], out=d)
-            out = _gauss_poly([ck[idx] for ck in c], inv_var[idx], d, neg_q, dead, mat[rows, cols])
-            _check_finite(t, out)
-            out *= w[cols]
+    for rows, cols, k in _kernel_blocks(spec, t, x, x):
+        np.multiply(k, w[cols], out=mat[rows, cols])
     return mat

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import DomainError, GridTooCoarseWarning, _is_int, _positive, _real_array, _result, _spots
 from .grid import PriceCurve, SpatialGrid, simpson_weights
-from .kernel import KernelSpec, _he_to_power, _hermite_coefficients, _kernel_rows
-from .models import ArrayLike, BasepointRule, CoefficientJet, Model
+from .kernel import KernelSpec, _he_to_power, _hermite_coefficients, _kernel_blocks
+from .models import ArrayLike, BasepointRule, CoefficientJet, Model, basepoint
 
 __all__ = [
     "Payoff",
@@ -301,10 +301,13 @@ def _quadrature(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike,
            if grid.n_intervals % 2 == 0 and grid.n_intervals >= 4 else None)
     xa = np.ravel(_spots("x", x))
     vals, coarse = np.empty(xa.size), np.empty(xa.size)
-    for rows, k in _kernel_rows(spec, t, xa, y):
+    for rows, cols, block in _kernel_blocks(spec, t, xa, y):
+        k = np.zeros((block.shape[0], y.size))  # full rows, so BLAS sums them as a dense block
+        k[:, cols] = block
         vals[rows] = k @ wh
         if wh2 is not None:
             coarse[rows] = k[:, ::2] @ wh2
+        del k  # freed before the next block is padded
     if wh2 is not None and xa.size:
         defect = np.max(np.abs(vals - coarse) - 1e-6 * (1.0 + np.abs(vals)))
         if defect > 0.0:
@@ -314,7 +317,7 @@ def _quadrature(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike,
                 GridTooCoarseWarning,
                 stacklevel=3,
             )
-    left, right = _past_ends(grid, xa, spec.model.jet(xa).a * np.sqrt(t))
+    left, right = _past_ends(spec, t, grid, xa)
     if (hy[0] != 0.0 and left.any()) or (hy[-1] != 0.0 and right.any()):
         warnings.warn(f"a kernel reaches past the grid [{grid.x_min:g}, {grid.x_max:g}], where "
                       "the payoff is not 0: quadrature drops the payoff beyond",
@@ -322,10 +325,13 @@ def _quadrature(spec: KernelSpec, t: float, payoff: Payoff, x: ArrayLike,
     return _result(vals.reshape(np.shape(x)), x)
 
 
-def _past_ends(grid: SpatialGrid, x: np.ndarray, width: np.ndarray):
-    """Whether the kernel at x, of width a(x) sqrt(t), reaches past the grid's
-    first and last node: six widths, past which the Gaussian tail is < 1e-9."""
-    return x - 6.0 * width < grid.x_min, x + 6.0 * width > grid.x_max
+def _past_ends(spec: KernelSpec, t: float, grid: SpatialGrid, x: np.ndarray):
+    """Whether the kernel at x reaches past the grid's first and last node:
+    six widths a(z) sqrt(t), z = z(x, end) the basepoint at that node, past
+    which the Gaussian tail is < 1e-9."""
+    lo, hi = (spec.model.jet(basepoint(spec.basepoint, x, end)).a * np.sqrt(t)
+              for end in (grid.x_min, grid.x_max))
+    return x - 6.0 * lo < grid.x_min, x + 6.0 * hi > grid.x_max
 
 
 def price_curve(spec: KernelSpec, t: float, payoff: Payoff, grid: SpatialGrid,

@@ -7,6 +7,7 @@ import functools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,10 +26,13 @@ from lvkernel import (
     BSMModel,
     CallPayoff,
     CEVModel,
+    CoefficientJet,
     CustomModel,
     DegenerateCoefficient,
     DomainError,
+    GridTooCoarseWarning,
     KernelSpec,
+    PutPayoff,
     SpatialGrid,
     TimeDependentBSMModel,
     basepoint,
@@ -37,7 +41,7 @@ from lvkernel import (
     price_quadrature,
 )
 from lvkernel import kernel
-from lvkernel.kernel import _KAPPA, Q_MAX, _he_to_power, _hermite_coefficients, _kernel_rows
+from lvkernel.kernel import _KAPPA, Q_MAX, _he_to_power, _hermite_coefficients, _kernel_blocks
 
 
 class TestHeToPower:
@@ -454,7 +458,7 @@ def _generator_taylor_terms(x, exponent, sigma_dot="0"):
 
 class TestMidpointBlocks:
     """The midpoint's jet and coefficients are per entry, about 24 block-sized
-    temporaries, so _kernel_rows sizes its blocks by entries, _MID_ENTRIES, and
+    temporaries, so _kernel_blocks sizes its blocks by entries, _MID_ENTRIES, and
     z = x and z = y keep _CHUNK_ROWS rows."""
 
     SPEC = KernelSpec(CEVModel(sigma=0.3, alpha=2.0 / 3.0, r=0.1), 2, BasepointRule.MIDPOINT)
@@ -465,18 +469,18 @@ class TestMidpointBlocks:
     def test_no_block_exceeds_the_budget(self, n, rows):
         # 2**15 entries: 8 rows of 3,901 nodes, 16 of 2,001; one row at least
         y = np.linspace(1.0, 40.0, n)
-        blocks = [(r, k.shape) for r, k in _kernel_rows(self.SPEC, 0.1, self.SPOTS, y)]
-        assert blocks[0][1][0] == rows
-        assert np.concatenate([np.arange(21)[r] for r, _ in blocks]).tolist() == list(range(21))
-        for r, shape in blocks:
-            assert shape == (r.stop - r.start, n)
+        blocks = [(r, c, k.shape) for r, c, k in _kernel_blocks(self.SPEC, 0.1, self.SPOTS, y)]
+        assert blocks[0][2][0] == rows
+        assert np.concatenate([np.arange(21)[r] for r, _, _ in blocks]).tolist() == list(range(21))
+        for r, c, shape in blocks:
+            assert c == slice(0, n) and shape == (r.stop - r.start, n)
             assert shape[0] * n <= kernel._MID_ENTRIES or shape[0] == 1
 
     @pytest.mark.parametrize("rule", [BasepointRule.AT_X, BasepointRule.AT_Y])
     def test_other_rules_keep_chunk_rows(self, rule):
         spec = KernelSpec(self.SPEC.model, 2, rule)
         x = np.linspace(12.0, 18.0, 100)
-        sizes = [k.shape[0] for _, k in _kernel_rows(spec, 0.1, x, self.GRID.nodes)]
+        sizes = [k.shape[0] for _, _, k in _kernel_blocks(spec, 0.1, x, self.GRID.nodes)]
         assert sizes == [kernel._CHUNK_ROWS, 100 - kernel._CHUNK_ROWS]
 
     @pytest.mark.parametrize("rows", [1, 7])
@@ -484,14 +488,14 @@ class TestMidpointBlocks:
         # every entry keeps its bytes; a quadrature value can move by a few
         # ulps, as the BLAS product sums a row in another order by block size
         def run():
-            block = np.concatenate([k for _, k in _kernel_rows(
+            block = np.concatenate([k for _, _, k in _kernel_blocks(
                 self.SPEC, 0.1, self.SPOTS, self.GRID.nodes)])
             return block, price_quadrature(self.SPEC, 0.1, CallPayoff(15.0), self.SPOTS, self.GRID)
 
         block, values = run()
         monkeypatch.setattr("lvkernel.kernel._MID_ENTRIES", rows * self.GRID.n_nodes)
-        assert {k.shape[0] for _, k in _kernel_rows(self.SPEC, 0.1, self.SPOTS,
-                                                    self.GRID.nodes)} == {rows}
+        assert {k.shape[0] for _, _, k in _kernel_blocks(self.SPEC, 0.1, self.SPOTS,
+                                                         self.GRID.nodes)} == {rows}
         chunked, chunked_values = run()
         assert chunked.tobytes() == block.tobytes()
         np.testing.assert_allclose(chunked_values, values, rtol=1e-14, atol=1e-15)
@@ -508,6 +512,65 @@ class TestMidpointBlocks:
             finally:
                 tracemalloc.stop()
             assert peak < 28 * kernel._MID_ENTRIES * 8, t
+
+
+def _wavy_jet(z):
+    """a = 1 + sin(z)/2, which rises and falls, so the reach z +- 10 a sqrt(t)
+    of a z = y column does not increase with z at t = 0.5."""
+    z = np.asarray(z, dtype=float)
+    return CoefficientJet(a=1.0 + 0.5 * np.sin(z), da_dx=0.5 * np.cos(z), d2a_dx2=-0.5 * np.sin(z),
+                          da_dt=0.0 * z, b=0.05 * z, db_dx=0.05 + 0.0 * z, c=-0.05 + 0.0 * z)
+
+
+class TestQuadratureBlocks:
+    """At z = x and z = y the quadrature evaluates, 64 rows at a time, only the
+    cover of each chunk's live columns: its values keep the bytes of the dense
+    blocks, and its peak memory is set by the chunk, not by the spot count."""
+
+    GRID = SpatialGrid(1.0, 40.0, 0.05)
+    MODELS = {"cev": CEVModel(sigma=0.3, alpha=2.0 / 3.0, r=0.1), "wavy": CustomModel(_wavy_jet)}
+    SPOTS = {
+        # 150 spots in no order, so a chunk's rows are not neighbours
+        "unsorted": np.random.default_rng(7).permutation(np.linspace(2.0, 38.0, 150)),
+        "sorted": np.linspace(10.0, 30.0, 200),
+        "off_the_grid": np.array([0.2, 0.9, 40.5, 55.0, 12.0, 39.99, 1.0, 40.0]),
+        "empty": np.array([]),
+    }
+
+    @pytest.mark.parametrize("spots", sorted(SPOTS))
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("rule", [BasepointRule.AT_X, BasepointRule.AT_Y], ids=lambda r: r.value)
+    def test_bit_for_bit_with_dense_blocks(self, rule, model, spots):
+        # a put's payoff is not 0 left of the spots, where a z = y cover can fall short
+        x, y, payoff = self.SPOTS[spots], self.GRID.nodes, PutPayoff(25.0)
+        wh = self.GRID.weights * payoff(y)
+        for order in (0, 1, 2):
+            spec = KernelSpec(self.MODELS[model], order, rule)
+            for t in (0.01, 0.5):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", GridTooCoarseWarning)
+                    got = price_quadrature(spec, t, payoff, x, self.GRID)
+                want = [kernel_eval(spec, t, x[r:r + 64, None], y[None, :]) @ wh
+                        for r in range(0, x.size, 64)]
+                assert got.tobytes() == np.concatenate([np.empty(0), *want]).tobytes(), (order, t)
+
+    @pytest.mark.parametrize("rule", [BasepointRule.AT_X, BasepointRule.AT_Y], ids=lambda r: r.value)
+    def test_peak_is_set_by_the_chunk(self, rule):
+        # 1,000 spots on 3,901 nodes peak at 4.3 (z = x) and 4.5 (z = y)
+        # blocks of 64 rows: one chunk's four scratch buffers, its rows padded
+        # with +0.0 and the copy of every second column the coarse sum takes
+        grid = SpatialGrid(1.0, 40.0, 0.01)
+        spec = KernelSpec(CEVModel(sigma=0.3, alpha=2.0 / 3.0, r=0.1), 2, rule)
+        for t in (0.01, 0.5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", GridTooCoarseWarning)
+                tracemalloc.start()
+                try:
+                    price_quadrature(spec, t, CallPayoff(15.0), np.linspace(2.0, 38.0, 1000), grid)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak < 5 * kernel._CHUNK_ROWS * grid.n_nodes * 8, t
 
 
 class TestMomentCertificate:

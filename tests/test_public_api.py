@@ -107,3 +107,50 @@ def test_the_names_the_benchmark_reads_resolve():
     missing += [f"lvkernel.{module}.{fn}" for module, fns in traced.items() for fn in fns
                 if not _resolves(f"lvkernel.{module}.{fn}")]
     assert missing == []
+
+
+def test_the_tracer_reads_every_traced_call(monkeypatch, capsys):
+    # the tracer reads attributes off each traced call's arguments (_attrs:
+    # model.is_time_dependent, config.n_steps, grid.n_nodes, spec.basepoint.value,
+    # model.kind) and the compose replay unpacks kernel_matrix's (mat, mass):
+    # one small call of each traced name, and of each model's jet, must leave
+    # a span that did not fail
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    lv = lvkernel
+    bsm, tdbsm = lv.BSMModel(sigma=0.3, r=0.1), lv.TimeDependentBSMModel(0.3, 0.2, 0.1)
+    grid, call = lv.SpatialGrid(10.0, 20.0, 0.5), lv.CallPayoff(15.0)
+    spec = lv.KernelSpec(bsm, 2)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.op("probe"):
+            for model in (bsm, lv.CEVModel(sigma=0.3, alpha=2.0 / 3.0, r=0.1), tdbsm):
+                model.jet(15.0)
+            lv.kernel_eval(spec, 0.1, 15.0, 15.5)
+            lv.kernel_matrix(spec, 0.1, grid)
+            lv.bootstrap_solve(lv.BootstrapConfig(spec, 0.2, 2, grid), call)
+            lv.price_call_closed(2, bsm, 0.1, 15.0, 15.0)
+            lv.price_put(2, bsm, 0.1, 15.0, 15.0)
+            lv.price_butterfly_closed(2, bsm, 0.1, lv.ButterflyPayoff(14.0, 15.0, 16.0), 15.0)
+            lv.price_quadrature(spec, 0.1, call, 15.0, grid)
+            lv.curve_greeks(lv.price_curve(spec, 0.1, call, grid))
+            lv.greeks(lambda t, x: lv.price_call_closed(2, bsm, t, 15.0, x), 0.1, 15.0, 0.01)
+            lv.bs_exact(0.1, 15.0, 15.0, 0.3, 0.1)
+            lv.hagan_woodward_price(0.1, 15.0, 15.0, 0.3, 2.0 / 3.0, 0.1)
+            for model in (bsm, tdbsm):
+                lv.cn_solve(model, lv.CNConfig(grid, 0.01, 0.02), call)
+            assert lvkernel.cli.main(["price", "--model", '{"kind": "bsm", "sigma": 0.3}', "--order",
+                                      "2", "--t", "0.1", "--payoff", "call", "--strike", "15",
+                                      "--spot", "15"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    spans = tracer.spans
+    assert {s[0] for s in spans} == {"models.jet"} | {
+        f"{module}.{fn}" for module, fns in tracing.TRACED.items() for fn in fns}
+    assert [s[0] for s in spans if s[6]] == []
+    assert {s[5]["model"] for s in spans if s[0] == "models.jet"} >= {"bsm", "cev", "tdbsm"}
+    assert {s[5]["timedep"] for s in spans if s[0] == "oracles.cn_solve"} == {False, True}
+    mat, mass = tracer.last["bootstrap.kernel_matrix"]
+    assert mat.shape == (grid.n_nodes, grid.n_nodes) and mass.shape == (grid.n_nodes,)
