@@ -51,10 +51,9 @@ def kernel_matrix(spec: KernelSpec, tau: float,
 
     The row sums approximate the kernel's mass over y, its h_0 at z = x, and
     the coarseness diagnostic holds them to it; at z = y it holds the
-    columns' masses to theirs instead (_mass_check).  Only each chunk of rows'
-    live band, ten widths (kernel.Q_MAX) and one node on each side, is
-    evaluated at z = x and z = y, the midpoint dense.  The matrix is
-    C-ordered, as the bits of mat @ u depend on the order.
+    columns' masses to theirs instead (_mass_check).  At z = x and z = y only
+    each chunk of rows' live band, ten widths (kernel.Q_MAX), is evaluated.
+    The matrix is C-ordered, as the bits of mat @ u depend on the order.
     """
     mat = _weighted_block(spec, tau, grid.nodes, grid.weights)
     return mat, mat.sum(axis=1)

@@ -10,10 +10,10 @@ midpoint.  Evaluation sums the series in powers of d: one exp per entry and a
 Horner sum, in _gauss_poly, the one body of every evaluation.  The kernel is
 exactly +0.0 wherever q = d^2/(2 t a^2) > Q_MAX = 50, ten widths out, where
 exp(-q) < 2e-22 is below double precision of the peak.  _kernel_blocks
-evaluates every block of a kernel matrix and of a quadrature: only the live
-band at z = x and z = y, dense at the midpoint.  The closed-form prices in
-pricing are the series' Gaussian moments.  All operations are pure functions
-and vectorize over numpy arrays.
+yields every block of a kernel matrix and of a quadrature, kernel_eval's bit for
+bit: at z = x and z = y a chunk of rows and the cover of its live band, at the
+midpoint dense.  The closed-form prices in pricing are the series' Gaussian
+moments.  All operations are pure functions and vectorize over numpy arrays.
 """
 
 from __future__ import annotations
@@ -170,34 +170,36 @@ def kernel_eval(spec: KernelSpec, t: float, x: ArrayLike, y: ArrayLike) -> Array
     return _result(out, x, y)
 
 
-def _kernel_blocks(spec: KernelSpec, t: float, x: np.ndarray, y: np.ndarray):
+def _kernel_blocks(spec: KernelSpec, t: float, x: np.ndarray, y: np.ndarray, reuse: bool = False):
     """kernel_eval(spec, t, x[:, None], y[None, :]) bit for bit, for 1-D x and
     increasing y, as (rows, cols, block): block is rows x cols, the rest of the
-    rows +0.0.  At z = x (z = y) one jet and one set of coefficients serve all
-    of x (y); each chunk of _CHUNK_ROWS rows evaluates, in buffers the next
-    reuses, only the cover of its live columns, q <= Q_MAX widened by 1e-9 and
-    by one node on each side.  Midpoint blocks are kernel_eval's, _MID_ENTRIES or a row."""
-    if spec.basepoint is BasepointRule.MIDPOINT:  # z moves along both axes: no band
-        step = max(_MID_ENTRIES // y.size, 1)
-        for start in range(0, x.size, step):
-            rows = slice(start, min(start + step, x.size))
-            yield rows, slice(0, y.size), kernel_eval(spec, t, x[rows, None], y[None, :])
-        return
-    kappa = _KAPPA[spec.basepoint]  # 0 at z = x, 1 at z = y
-    jet = spec.model.jet(own := y if kappa else x)
-    with np.errstate(all="ignore"):  # a kernel that is not finite raises below
-        c = [np.broadcast_to(ck, own.shape) for ck in _coefficients(jet, t, kappa, spec.order)]
-        inv_var = np.broadcast_to(np.divide(-0.5, t * jet.a * jet.a), own.shape)
-        _check_finite(t, inv_var, *c)
-        half = sqrt(2.0 * Q_MAX * t) * (1.0 + 1e-9) * jet.a
-    hx, hy = (0.0, half) if kappa else (half, 0.0)  # a row's (z = x) or a column's (z = y) reach
-    near, far = x - hx, x + hx  # a column's reach ends need not increase with y: their envelopes do
-    top, bottom = np.maximum.accumulate(y + hy), np.minimum.accumulate((y - hy)[::-1])[::-1]
-    buffers = [np.empty(min(x.size, _CHUNK_ROWS) * y.size, dt) for dt in (float, float, float, bool)]
-    for start in range(0, x.size, _CHUNK_ROWS):
-        rows = slice(start, min(start + _CHUNK_ROWS, x.size))
-        cols = slice(max(np.searchsorted(top, near[rows].min()) - 1, 0),
-                     min(np.searchsorted(bottom, far[rows].max(), side="right") + 1, y.size))
+    rows +0.0, and kernel_eval's unless reuse.  At z = x and z = y, _CHUNK_ROWS
+    rows at a time, cols is the cover of their live columns (q <= Q_MAX, one
+    node more each side), from one jet and set of coefficients of all of x (y);
+    reuse evaluates from them in buffers the next block overwrites.  At the
+    midpoint cols is all of y, and rows _MID_ENTRIES entries or one."""
+    mid = spec.basepoint is BasepointRule.MIDPOINT  # z moves along both axes: no band
+    if not mid:
+        kappa = _KAPPA[spec.basepoint]  # 0 at z = x, 1 at z = y
+        jet = spec.model.jet(own := y if kappa else x)
+        with np.errstate(all="ignore"):  # a kernel that is not finite raises below
+            c = [np.broadcast_to(ck, own.shape) for ck in _coefficients(jet, t, kappa, spec.order)]
+            inv_var = np.broadcast_to(np.divide(-0.5, t * jet.a * jet.a), own.shape)
+            half = sqrt(2.0 * Q_MAX * t) * (1.0 + 1e-9) * jet.a
+        _check_finite(t, inv_var, *c)  # raises where the dense block would
+        # a row's (z = x) or column's (z = y) reach, whose ends need not increase: their envelopes do
+        near, far, hy = (x, x, half) if kappa else (x - half, x + half, 0.0)
+        top, bottom = np.maximum.accumulate(y + hy), np.minimum.accumulate((y - hy)[::-1])[::-1]
+        buffers = reuse and [np.empty(_CHUNK_ROWS * y.size, dt) for dt in (float, float, float, bool)]
+    step = max(_MID_ENTRIES // y.size, 1) if mid else _CHUNK_ROWS
+    for start in range(0, x.size, step):
+        rows = slice(start, min(start + step, x.size))
+        cols = slice(0, y.size) if mid else slice(
+            max(np.searchsorted(top, near[rows].min()) - 1, 0),
+            min(np.searchsorted(bottom, far[rows].max(), side="right") + 1, y.size))
+        if mid or not buffers:
+            yield rows, cols, kernel_eval(spec, t, x[rows, None], y[None, cols])
+            continue
         shape = (rows.stop - rows.start, cols.stop - cols.start)
         d, neg_q, out, dead = (b[:shape[0] * shape[1]].reshape(shape) for b in buffers)
         idx = (None, cols) if kappa else (rows, None)
@@ -222,6 +224,6 @@ def _weighted_block(spec: KernelSpec, t: float, x: np.ndarray, w: np.ndarray) ->
                           f"matrix of shape ({x.size}, {x.size})") from None
     buf.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))  # as NumPy does
     mat = np.frombuffer(buf, float, x.size**2).reshape(x.size, x.size)
-    for rows, cols, k in _kernel_blocks(spec, t, x, x):
+    for rows, cols, k in _kernel_blocks(spec, t, x, x, reuse=True):  # fresh blocks re-fault the heap
         np.multiply(k, w[cols], out=mat[rows, cols])
     return mat

@@ -329,8 +329,8 @@ def _past_ends(spec: KernelSpec, t: float, grid: SpatialGrid, x: np.ndarray):
     """Whether the kernel at x reaches past the grid's first and last node:
     six widths a(z) sqrt(t), z = z(x, end) the basepoint at that node, past
     which the Gaussian tail is < 1e-9."""
-    lo, hi = (spec.model.jet(basepoint(spec.basepoint, x, end)).a * np.sqrt(t)
-              for end in (grid.x_min, grid.x_max))
+    z = basepoint(spec.basepoint, x, np.array([[grid.x_min], [grid.x_max]]))
+    lo, hi = np.broadcast_to(spec.model.jet(z).a * np.sqrt(t), (2, x.size))  # z = x: one jet of x
     return x - 6.0 * lo < grid.x_min, x + 6.0 * hi > grid.x_max
 
 

@@ -554,11 +554,22 @@ class TestQuadratureBlocks:
                         for r in range(0, x.size, 64)]
                 assert got.tobytes() == np.concatenate([np.empty(0), *want]).tobytes(), (order, t)
 
+    def test_a_column_outside_every_cover_raises_as_in_the_dense_block(self):
+        # at z = y the node 1e-45 is in no cover of the spot 15, but its
+        # coefficients overflow, so the dense block raises for it
+        spec = KernelSpec(BSMModel(sigma=0.3, r=0.1), 2, BasepointRule.AT_Y)
+        grid = SpatialGrid(1e-45, 40.0, 0.01)
+        for evaluate in (lambda: kernel_eval(spec, 0.1, np.array([[15.0]]), grid.nodes[None, :]),
+                         lambda: price_quadrature(spec, 0.1, CallPayoff(15.0), 15.0, grid)):
+            with pytest.raises(DegenerateCoefficient, match="^the kernel is not finite at t=0.1"):
+                evaluate()
+
     @pytest.mark.parametrize("rule", [BasepointRule.AT_X, BasepointRule.AT_Y], ids=lambda r: r.value)
     def test_peak_is_set_by_the_chunk(self, rule):
-        # 1,000 spots on 3,901 nodes peak at 4.3 (z = x) and 4.5 (z = y)
-        # blocks of 64 rows: one chunk's four scratch buffers, its rows padded
-        # with +0.0 and the copy of every second column the coarse sum takes
+        # 1,000 spots on 3,901 nodes peak at 1.4 and 3.9 blocks of 64 rows at
+        # z = x (t = 0.01, 0.5), 1.6 and 4.1 at z = y: kernel_eval's temporaries
+        # on one chunk's cover, its rows padded with +0.0 and the copy of every
+        # second column the coarse sum takes
         grid = SpatialGrid(1.0, 40.0, 0.01)
         spec = KernelSpec(CEVModel(sigma=0.3, alpha=2.0 / 3.0, r=0.1), 2, rule)
         for t in (0.01, 0.5):

@@ -549,10 +549,12 @@ class TestQuadrature:
             warnings.simplefilter("error", GridTooCoarseWarning)
             price_quadrature(spec, 0.1, CallPayoff(15.0), x, SpatialGrid(1.0, 40.0, 0.05))
 
-    @pytest.mark.parametrize("rule, warns, dropped", [
-        (BasepointRule.AT_X, False, 1.30e-7), (BasepointRule.AT_Y, True, 3.32e-6),
-        (BasepointRule.MIDPOINT, True, 2.76e-7)])
-    def test_past_the_grid_is_measured_at_the_basepoint(self, rule, warns, dropped):
+    @pytest.mark.parametrize("rule, dropped", [
+        pytest.param(BasepointRule.AT_X, 1.30e-7, marks=pytest.mark.xfail(strict=True, reason=(
+            "six widths bound the Gaussian's mass, not the order-2 series' fatter tail times "
+            "the payoff: z = x drops 1.3e-7 past 40 unwarned"))),
+        (BasepointRule.AT_Y, 3.32e-6), (BasepointRule.MIDPOINT, 2.76e-7)])
+    def test_past_the_grid_is_measured_at_the_basepoint(self, rule, dropped):
         # next to x = 40 the kernel at spot 33.8 is frozen at z(33.8, 40), wider
         # at z = y and the midpoint than the a(33.8) sqrt(t) of z = x: six of
         # a(33.8) stop short of 40, six of a(z) reach past it
@@ -562,12 +564,12 @@ class TestQuadrature:
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always", GridTooCoarseWarning)
             short = price(40.0)
-        assert [str(w.message) for w in record] == warns * [
-            "a kernel reaches past the grid [1, 40], where the payoff is not 0: quadrature "
-            "drops the payoff beyond"]
         with warnings.catch_warnings():
             warnings.simplefilter("error", GridTooCoarseWarning)
             assert price(45.0) - short == pytest.approx(dropped, rel=0.01)
+        assert [str(w.message) for w in record] == [
+            "a kernel reaches past the grid [1, 40], where the payoff is not 0: quadrature "
+            "drops the payoff beyond"]
 
     def test_block_is_evaluated_in_row_chunks(self):
         # evaluated whole, the midpoint rule's block-sized temporaries peak at

@@ -4,11 +4,13 @@ does every name the benchmark in perfbench/ reads from the package."""
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -154,3 +156,29 @@ def test_the_tracer_reads_every_traced_call(monkeypatch, capsys):
     assert {s[5]["timedep"] for s in spans if s[0] == "oracles.cn_solve"} == {False, True}
     mat, mass = tracer.last["bootstrap.kernel_matrix"]
     assert mat.shape == (grid.n_nodes, grid.n_nodes) and mass.shape == (grid.n_nodes,)
+
+
+@pytest.mark.filterwarnings("ignore:an order-1 composition:UserWarning")
+def test_a_traced_run_reads_every_layer_metric(monkeypatch, tmp_path):
+    # a traced run takes its per-layer metrics from the spans the workloads'
+    # calls leave (tracing._layer_metrics): a basepoint rule whose quadrature
+    # left no kernel_eval span would divide 0 by 0.  One cycle, cut to the ops
+    # those metrics read, with the CLI run in process and no fresh interpreter
+    # timed, must give every per-layer metric BENCHMARK.json declares
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing, workloads = (importlib.import_module(m) for m in ("tracing", "workloads"))
+    first = workloads.MATURITIES[0]
+    keep = {workloads.Compose: lambda op: op["steps"] == 10 and op["model"] != "tdbsm",
+            workloads.Quote: lambda op: op["t"] == first,
+            workloads.Validate: lambda op: op["t"] == first}
+    for cls, wanted in keep.items():
+        monkeypatch.setattr(cls, "cycle", lambda self, seed, cycle=cls.cycle, wanted=wanted:
+                            [op for op in cycle(self, seed) if wanted(op)])
+    monkeypatch.setattr(workloads.Cli, "run", lambda self, op: {"code": 0, "out": self.in_process(op)})
+    monkeypatch.setattr(tracing, "_fresh_import_s", lambda *args, **kwargs: 0.0)
+    result = tracing.run_traced(SimpleNamespace(workload="validate", seed=1), tmp_path,
+                                Path(lvkernel.__file__).resolve().parent.parent)
+    assert result["failures"] == []
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    assert sorted(result["metrics"]) == sorted(m["name"] for m in declared)
+    assert all(value == value for value, _ in result["metrics"].values())  # none is NaN
